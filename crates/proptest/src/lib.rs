@@ -6,6 +6,12 @@
 //! range and tuple strategies, [`collection::vec`], [`prop_oneof!`], the
 //! `prop_assert*` family, and `ProptestConfig::with_cases`.
 //!
+//! It also hosts [`corrupt`], the workspace's one corruption harness for
+//! byte decoders (round trip, truncation, mutation, no panic), and
+//! [`golden`], the hex golden-vector helpers every format pins its bytes
+//! with, because every decoder's test suite already depends on this
+//! crate.
+//!
 //! Differences from real proptest, deliberately accepted:
 //!
 //! * **Greedy halving shrink over generation sources instead of a value
@@ -25,6 +31,8 @@
 //!   reproduce exactly on re-run.
 
 pub mod collection;
+pub mod corrupt;
+pub mod golden;
 pub mod prelude;
 pub mod strategy;
 pub mod test_runner;

@@ -1,5 +1,12 @@
-//! The shared wire substrate: offset-reporting validation and a
-//! length-prefixed frame layer.
+//! The shared wire substrate: one layout vocabulary, offset-reporting
+//! validation, and a length-prefixed frame layer.
+//!
+//! Every format on this crate's trust boundary — `XTR1` reports, `XTS1`
+//! snapshots, WAL records, `XTF1` frames, and `xt-net`'s messages — is
+//! written with [`ByteWriter`] (re-exported from `xt-image`, which
+//! encodes heap images the same way) and read back with [`Reader`]. The
+//! pair is the whole layout vocabulary: little-endian integers, strict
+//! booleans, and `u32` length prefixes capped on both sides.
 //!
 //! Two consumers speak binary formats built on this module:
 //!
@@ -21,8 +28,14 @@
 //! Length prefixes are validated against caller-supplied caps *before*
 //! any allocation ([`Reader::count`], [`MAX_FRAME_PAYLOAD`]): a corrupt
 //! or hostile length must not turn into a multi-gigabyte allocation.
+//! Encoders hold the same caps, so a value this side writes is one the
+//! other side accepts: [`ByteWriter::count`] asserts them where the
+//! encoder controls sizes, and the snapshot encoder, whose sizes follow
+//! remote input, returns [`WireError::Oversized`] instead.
 
 use std::io::{self, Read, Write};
+
+pub use xt_image::ByteWriter;
 
 /// First bytes of every frame: `XTF` plus the format version.
 pub const FRAME_MAGIC: [u8; 4] = *b"XTF1";
@@ -98,6 +111,11 @@ pub enum WireError {
         /// Byte offset of the first invalid byte.
         at: usize,
     },
+    /// A WAL record's checksum does not match its header and payload.
+    BadChecksum {
+        /// Byte offset of the checksum field.
+        at: usize,
+    },
     /// Bytes remain after the last field.
     Trailing {
         /// Offset where decoding finished.
@@ -157,6 +175,7 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8 { at } => {
                 write!(f, "invalid UTF-8 in string field at offset {at}")
             }
+            WireError::BadChecksum { at } => write!(f, "checksum mismatch at offset {at}"),
             WireError::Trailing { at, extra } => {
                 write!(f, "{extra} trailing bytes after end at offset {at}")
             }
@@ -168,6 +187,28 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl WireError {
+    /// The byte offset the error points at, if the variant carries one
+    /// (`BadMagic` names the bytes by value; `RateLimited` is a policy
+    /// refusal of a well-formed report).
+    #[must_use]
+    pub fn offset(&self) -> Option<usize> {
+        match self {
+            WireError::BadMagic(_) | WireError::RateLimited { .. } => None,
+            WireError::Truncated { at }
+            | WireError::BadBool { at, .. }
+            | WireError::BadProbability { at, .. }
+            | WireError::Oversized { at, .. }
+            | WireError::BadSiteCount { at, .. }
+            | WireError::BadGrid { at, .. }
+            | WireError::BadKind { at, .. }
+            | WireError::BadUtf8 { at }
+            | WireError::BadChecksum { at }
+            | WireError::Trailing { at, .. } => Some(*at),
+        }
+    }
+}
 
 /// Offset-tracking cursor over wire bytes. Every format built on this
 /// module decodes through a `Reader`, so malformed input anywhere reports
@@ -197,13 +238,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::Truncated`] if fewer than `N` bytes remain.
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let end = self.pos + N;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(WireError::Truncated { at: self.pos })?;
-        self.pos = end;
-        Ok(slice.try_into().expect("slice length is N"))
+        Ok(self.bytes(N)?.try_into().expect("slice length is N"))
     }
 
     /// Reads `len` raw bytes as a borrowed slice.
@@ -219,6 +254,15 @@ impl<'a> Reader<'a> {
             .ok_or(WireError::Truncated { at: self.pos })?;
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] at the end of the buffer.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u32`.
@@ -255,7 +299,7 @@ impl<'a> Reader<'a> {
     /// [`WireError::Truncated`] or [`WireError::BadBool`].
     pub fn bool(&mut self) -> Result<bool, WireError> {
         let at = self.pos;
-        match self.array::<1>()?[0] {
+        match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             value => Err(WireError::BadBool { at, value }),
@@ -275,6 +319,50 @@ impl<'a> Reader<'a> {
             return Err(WireError::Oversized { at, count });
         }
         Ok(count)
+    }
+
+    /// Reads a byte string behind a `u32` length prefix capped at `cap`
+    /// (the layout [`ByteWriter::blob`] writes).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] or [`WireError::Oversized`].
+    pub fn blob(&mut self, cap: u32) -> Result<&'a [u8], WireError> {
+        let len = self.count(cap)?;
+        self.bytes(len as usize)
+    }
+
+    /// Reads a UTF-8 string behind a `u32` length prefix capped at `cap`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::blob`], or [`WireError::BadUtf8`] at the first
+    /// invalid byte.
+    pub fn string(&mut self, cap: u32) -> Result<String, WireError> {
+        let at = self.pos + 4;
+        let bytes = self.blob(cap)?;
+        match std::str::from_utf8(bytes) {
+            Ok(text) => Ok(text.to_string()),
+            Err(e) => Err(WireError::BadUtf8 {
+                at: at + e.valid_up_to(),
+            }),
+        }
+    }
+
+    /// Reads a counted list: a `u32` count capped at `cap`, then one
+    /// `item` per element.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`], [`WireError::Oversized`], or the first
+    /// error `item` returns.
+    pub fn list<T>(
+        &mut self,
+        cap: u32,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.count(cap)?;
+        (0..n).map(|_| item(self)).collect()
     }
 
     /// Asserts the buffer is fully consumed.
@@ -348,7 +436,7 @@ impl Frame {
 
     /// Serialized frame length for this payload size.
     #[must_use]
-    pub fn encoded_len(payload_len: usize) -> usize {
+    pub const fn encoded_len(payload_len: usize) -> usize {
         FRAME_MAGIC.len() + 1 + 4 + payload_len
     }
 
@@ -360,17 +448,21 @@ impl Frame {
     /// bug, not a remote condition.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        assert!(
-            self.payload.len() <= MAX_FRAME_PAYLOAD as usize,
-            "frame payload of {} bytes exceeds the wire cap",
-            self.payload.len()
-        );
-        let mut out = Vec::with_capacity(Self::encoded_len(self.payload.len()));
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.push(self.kind);
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        let mut w = ByteWriter::with_capacity(Self::encoded_len(self.payload.len()));
+        w.bytes(&FRAME_MAGIC);
+        w.u8(self.kind);
+        w.blob(&self.payload, MAX_FRAME_PAYLOAD);
+        w.into_bytes()
+    }
+
+    /// Reads the fixed header — magic, kind, capped payload length —
+    /// leaving `r` at the payload.
+    fn header(r: &mut Reader<'_>) -> Result<(u8, u32), WireError> {
+        let magic = r.array::<4>()?;
+        if magic != FRAME_MAGIC {
+            return Err(WireError::BadMagic(magic));
+        }
+        Ok((r.u8()?, r.count(MAX_FRAME_PAYLOAD)?))
     }
 
     /// Parses exactly one frame from `bytes`, rejecting trailing garbage.
@@ -380,12 +472,7 @@ impl Frame {
     /// Returns a [`WireError`] naming the first malformed byte.
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
         let mut r = Reader::new(bytes);
-        let magic = r.array::<4>()?;
-        if magic != FRAME_MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        let kind = r.array::<1>()?[0];
-        let len = r.count(MAX_FRAME_PAYLOAD)?;
+        let (kind, len) = Self::header(&mut r)?;
         let payload = r.bytes(len as usize)?.to_vec();
         r.finish()?;
         Ok(Frame { kind, payload })
@@ -415,23 +502,18 @@ impl Frame {
             magic[..seen].copy_from_slice(&buf[..seen]);
             return Err(WireError::BadMagic(magic));
         }
-        if buf.len() >= 9 {
-            let len = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]);
-            if len > MAX_FRAME_PAYLOAD {
-                return Err(WireError::Oversized { at: 5, count: len });
-            }
-            let total = Self::encoded_len(len as usize);
-            if buf.len() >= total {
-                return Ok(Some((
-                    Frame {
-                        kind: buf[4],
-                        payload: buf[9..total].to_vec(),
-                    },
-                    total,
-                )));
-            }
+        if buf.len() < Self::encoded_len(0) {
+            return Ok(None);
         }
-        Ok(None)
+        let mut r = Reader::new(buf);
+        let (kind, len) = Self::header(&mut r)?;
+        Ok(r.bytes(len as usize).ok().map(|payload| {
+            let frame = Frame {
+                kind,
+                payload: payload.to_vec(),
+            };
+            (frame, r.pos())
+        }))
     }
 
     /// Writes the frame to a stream (one `write_all`, so concurrent
@@ -461,63 +543,46 @@ impl Frame {
     /// idle timeout at a frame boundary; [`FrameError::Malformed`] on
     /// bad magic or an oversized length.
     pub fn read_from(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
-        let mut header = [0u8; 9];
-        // Hand-rolled reads so a clean EOF (zero bytes) is
-        // distinguishable from a torn frame, and so retryable error
-        // kinds never tear a healthy connection.
-        let mut filled = 0;
-        while filled < header.len() {
-            match r.read(&mut header[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("EOF after {filled} header bytes"),
-                    )));
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if filled > 0
-                        && matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
+        let mut header = [0u8; Self::encoded_len(0)];
+        if !fill(r, &mut header, true)? {
+            return Ok(None);
         }
-        let magic: [u8; 4] = header[..4].try_into().expect("fixed split");
-        if magic != FRAME_MAGIC {
-            return Err(WireError::BadMagic(magic).into());
-        }
-        let kind = header[4];
-        let len = u32::from_le_bytes(header[5..9].try_into().expect("fixed split"));
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(WireError::Oversized { at: 5, count: len }.into());
-        }
+        let (kind, len) = Self::header(&mut Reader::new(&header))?;
         let mut payload = vec![0u8; len as usize];
-        let mut filled = 0;
-        while filled < payload.len() {
-            match r.read(&mut payload[filled..]) {
-                Ok(0) => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("EOF inside a {len}-byte payload"),
-                    )));
-                }
-                Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::Interrupted
-                            | io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
-        }
+        fill(r, &mut payload, false)?;
         Ok(Some(Frame { kind, payload }))
     }
+}
+
+/// Fills `buf` from `r`, returning `false` on a clean EOF — zero bytes
+/// read where `buf` starts at a frame boundary. Hand-rolled so a clean
+/// EOF is distinguishable from a torn frame, and so retryable error
+/// kinds never tear a healthy connection: `EINTR` is always retried,
+/// and a read timeout surfaces only at a frame boundary.
+fn fill(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let boundary = at_boundary && filled == 0;
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if boundary => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("EOF after {filled} of {} frame bytes", buf.len()),
+                ));
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if !boundary
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -529,28 +594,18 @@ mod tests {
     }
 
     #[test]
-    fn round_trips() {
-        let frame = sample();
-        let bytes = frame.encode();
-        assert_eq!(bytes.len(), Frame::encoded_len(frame.payload.len()));
-        assert_eq!(Frame::decode(&bytes).unwrap(), frame);
-    }
-
-    #[test]
-    fn empty_payload_round_trips() {
-        let frame = Frame::new(0, Vec::new());
-        assert_eq!(Frame::decode(&frame.encode()).unwrap(), frame);
-    }
-
-    #[test]
-    fn rejects_truncation_at_every_length() {
-        let bytes = sample().encode();
-        for len in 0..bytes.len() {
-            let err = Frame::decode(&bytes[..len]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated { .. }),
-                "prefix of {len} bytes gave {err:?}"
-            );
+    fn sample_survives_the_corruption_harness() {
+        use proptest::corrupt::{check_decoder, check_prefix_parser};
+        let (decode, offset) = (Frame::decode, WireError::offset);
+        for frame in [sample(), Frame::new(0, Vec::new())] {
+            let bytes = frame.encode();
+            assert_eq!(bytes.len(), Frame::encoded_len(frame.payload.len()));
+            check_decoder(&bytes, &frame, decode, offset, 7).unwrap();
+            check_prefix_parser(&bytes, Frame::parse_prefix, decode, offset, 7).unwrap();
+            for len in 0..bytes.len() {
+                let err = Frame::decode(&bytes[..len]).unwrap_err();
+                assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
+            }
         }
     }
 
@@ -574,28 +629,22 @@ mod tests {
     #[test]
     fn rejects_oversized_payload_claim() {
         let mut bytes = sample().encode();
-        bytes[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.splice(5..9, [0xFF; 4]);
         assert!(matches!(
             Frame::decode(&bytes),
             Err(WireError::Oversized { at: 5, .. })
         ));
     }
 
+    /// A whole frame plus the start of the next: exactly one frame out,
+    /// and `consumed` points at the boundary. (Strict prefixes are the
+    /// corruption harness's "need more" check above.)
     #[test]
-    fn parse_prefix_needs_more_then_yields_frame_and_consumed() {
+    fn parse_prefix_yields_one_frame_and_consumed() {
         let frame = sample();
         let bytes = frame.encode();
-        for len in 0..bytes.len() {
-            assert_eq!(
-                Frame::parse_prefix(&bytes[..len]).unwrap(),
-                None,
-                "prefix of {len} bytes is incomplete"
-            );
-        }
-        // A whole frame plus the start of the next: exactly one frame
-        // out, and `consumed` points at the boundary.
         let mut two = bytes.clone();
-        two.extend_from_slice(&bytes[..3]);
+        two.extend(&bytes[..3]);
         let (parsed, consumed) = Frame::parse_prefix(&two).unwrap().expect("complete");
         assert_eq!(parsed, frame);
         assert_eq!(consumed, bytes.len());
@@ -617,12 +666,12 @@ mod tests {
 
     #[test]
     fn parse_prefix_rejects_oversized_before_the_payload_arrives() {
-        let mut header = Vec::new();
-        header.extend_from_slice(&FRAME_MAGIC);
-        header.push(1);
-        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut header = ByteWriter::new();
+        header.bytes(&FRAME_MAGIC);
+        header.u8(1);
+        header.u32(u32::MAX);
         assert!(matches!(
-            Frame::parse_prefix(&header),
+            Frame::parse_prefix(&header.into_bytes()),
             Err(WireError::Oversized { at: 5, .. })
         ));
     }

@@ -106,7 +106,7 @@ pub(crate) fn splitmix_finalize(mut z: u64) -> u64 {
 }
 
 pub use delivery::{Delivery, ReplayWindow};
-pub use frame::{Frame, FrameError, Reader};
+pub use frame::{ByteWriter, Frame, FrameError, Reader};
 pub use service::{
     DurabilityStats, FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError,
 };

@@ -44,7 +44,7 @@
 //!   Each recovery is counted in [`FleetMetrics::lock_recoveries`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -553,18 +553,26 @@ impl FleetService {
         next
     }
 
-    /// Parks until an epoch *newer than* `have` is installed, or
-    /// `timeout` elapses. Returns the newest epoch on success (which may
-    /// be newer still than the one that woke the wait), `None` on
-    /// timeout. This is the push primitive: an epoch watcher blocks
-    /// here instead of polling [`FleetService::latest`] in a loop, and
-    /// wakes the instant [`FleetService::publish`] installs a successor.
-    pub fn wait_epoch_newer(&self, have: u64, timeout: Duration) -> Option<Arc<PatchEpoch>> {
+    /// Parks until an epoch *newer than* `have` is installed, `timeout`
+    /// elapses, or `stop` is set. Returns the newest epoch on success
+    /// (which may be newer still than the one that woke the wait), `None`
+    /// on timeout or stop. This is the push primitive: an epoch watcher
+    /// blocks here instead of polling [`FleetService::latest`] in a
+    /// loop, and wakes the instant [`FleetService::publish`] installs a
+    /// successor — or the instant its owner sets `stop` and calls
+    /// [`FleetService::wake_epoch_waiters`]. `stop` is read under the
+    /// signal lock, so that wake is never lost.
+    pub fn wait_epoch_newer(
+        &self,
+        have: u64,
+        timeout: Duration,
+        stop: &AtomicBool,
+    ) -> Option<Arc<PatchEpoch>> {
         let deadline = Instant::now() + timeout;
         let mut newest = self.lock_recovering(&self.epoch_signal);
         while *newest <= have {
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline || stop.load(Ordering::Acquire) {
                 return None;
             }
             let (guard, _) = self
@@ -578,6 +586,13 @@ impl FleetService {
         }
         drop(newest);
         Some(self.latest())
+    }
+
+    /// Wakes every [`FleetService::wait_epoch_newer`] caller to recheck
+    /// its `stop` flag (set the flag first).
+    pub fn wake_epoch_waiters(&self) {
+        let _signal = self.lock_recovering(&self.epoch_signal);
+        self.epoch_wake.notify_all();
     }
 
     /// Aggregate counters.

@@ -70,6 +70,7 @@ use std::time::Instant;
 use xt_obs::Histogram;
 use xt_patch::PatchEpoch;
 
+use crate::frame::{ByteWriter, Reader};
 use crate::service::{
     DurabilityStats, FleetConfig, FleetMetrics, FleetService, IngestReceipt, RestoreError,
 };
@@ -114,57 +115,63 @@ fn record_checksum(kind: u8, lsn: u64, payload: &[u8]) -> u64 {
 
 /// Serializes one WAL record.
 fn encode_record(kind: u8, lsn: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.push(kind);
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_checksum(kind, lsn, payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = ByteWriter::with_capacity(RECORD_HEADER + payload.len());
+    w.u8(kind);
+    w.u64(lsn);
+    w.count(payload.len(), MAX_RECORD_PAYLOAD);
+    w.u64(record_checksum(kind, lsn, payload));
+    w.bytes(payload);
+    w.into_bytes()
 }
 
 /// One validated WAL record.
+#[derive(Debug, PartialEq)]
 struct WalRecord {
     lsn: u64,
     kind: u8,
     payload: Vec<u8>,
 }
 
-/// Walks the log, returning every valid record and the byte length of
-/// the valid prefix. Anything after the valid prefix is a torn tail.
-fn scan_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    let mut pos = 0;
-    let mut last_lsn = None;
-    while bytes.len() - pos >= RECORD_HEADER {
-        let kind = bytes[pos];
-        let lsn = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().expect("fixed split"));
-        let len = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().expect("fixed split"));
-        let checksum =
-            u64::from_le_bytes(bytes[pos + 13..pos + 21].try_into().expect("fixed split"));
-        if !matches!(kind, REC_REPORT | REC_PUBLISH)
-            || len > MAX_RECORD_PAYLOAD
-            || last_lsn.is_some_and(|last| lsn <= last)
-        {
-            break;
-        }
-        let body_end = pos + RECORD_HEADER + len as usize;
-        if body_end > bytes.len() {
-            break;
-        }
-        let payload = &bytes[pos + RECORD_HEADER..body_end];
-        if record_checksum(kind, lsn, payload) != checksum {
-            break;
-        }
-        records.push(WalRecord {
-            lsn,
-            kind,
-            payload: payload.to_vec(),
-        });
-        last_lsn = Some(lsn);
-        pos = body_end;
+/// Reads one record at `r`'s position: a known kind, a capped length,
+/// and a checksum matching header and payload.
+fn decode_record(r: &mut Reader<'_>) -> Result<WalRecord, WireError> {
+    let kind_at = r.pos();
+    let kind = r.u8()?;
+    if !matches!(kind, REC_REPORT | REC_PUBLISH) {
+        return Err(WireError::BadKind { at: kind_at, kind });
     }
-    (records, pos)
+    let lsn = r.u64()?;
+    let len = r.count(MAX_RECORD_PAYLOAD)?;
+    let checksum_at = r.pos();
+    let checksum = r.u64()?;
+    let payload = r.bytes(len as usize)?;
+    if record_checksum(kind, lsn, payload) != checksum {
+        return Err(WireError::BadChecksum { at: checksum_at });
+    }
+    Ok(WalRecord {
+        lsn,
+        kind,
+        payload: payload.to_vec(),
+    })
+}
+
+/// Walks the log, returning every valid record and the byte length of
+/// the valid prefix. Anything after the valid prefix is a torn tail:
+/// an undecodable record, or one whose LSN does not advance.
+fn scan_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    let mut records: Vec<WalRecord> = Vec::new();
+    let mut r = Reader::new(bytes);
+    let mut valid = 0;
+    while valid < bytes.len() {
+        match decode_record(&mut r) {
+            Ok(record) if records.last().is_none_or(|last| record.lsn > last.lsn) => {
+                records.push(record);
+                valid = r.pos();
+            }
+            _ => break,
+        }
+    }
+    (records, valid)
 }
 
 /// Durability-layer configuration.
@@ -192,7 +199,8 @@ pub enum DurabilityError {
     /// the caller's expectation — treat the instance as dead and reopen.
     Storage(io::Error),
     /// Bytes (an ingested report, or a persisted snapshot/record during
-    /// recovery) failed wire validation.
+    /// recovery) failed wire validation, or state outgrew its durable
+    /// format ([`WireError::Oversized`]).
     Wire(WireError),
     /// The persisted snapshot is incompatible with the opening
     /// configuration.
@@ -249,6 +257,8 @@ struct WriteGate {
 struct StagedRecord {
     lsn: u64,
     report: RunReport,
+    /// The report's encoding, already checked against the record cap.
+    payload: Vec<u8>,
     slot: Arc<Slot>,
 }
 
@@ -350,11 +360,9 @@ impl<S: Storage> DurableFleet<S> {
             Some(bytes) => {
                 // The snapshot envelope is an 8-byte applied-LSN prefix
                 // over the canonical snapshot encoding.
-                if bytes.len() < 8 {
-                    return Err(WireError::Truncated { at: bytes.len() }.into());
-                }
-                let lsn = u64::from_le_bytes(bytes[..8].try_into().expect("fixed split"));
-                let snap = FleetSnapshot::decode(&bytes[8..])?;
+                let mut r = Reader::new(bytes);
+                let lsn = r.u64()?;
+                let snap = FleetSnapshot::decode(&bytes[r.pos()..])?;
                 (FleetService::from_snapshot(fleet, &snap)?, lsn)
             }
             None => (FleetService::new(fleet), 0),
@@ -503,16 +511,26 @@ impl<S: Storage> DurableFleet<S> {
     /// Stages `reports` (assigning LSNs in order) and either leads the
     /// flush or waits for the running leader to carry them.
     fn commit_reports(&self, reports: &[RunReport]) -> Result<Vec<IngestReceipt>, DurabilityError> {
+        // Encode before staging, so a report the WAL cannot hold is
+        // refused here, with nothing appended, not in the flush leader.
+        let payloads: Vec<Vec<u8>> = reports.iter().map(RunReport::encode).collect();
+        let longest = payloads.iter().map(Vec::len).max().unwrap_or(0);
+        if longest > MAX_RECORD_PAYLOAD as usize {
+            // Offset 9 is the record's length field, after kind and LSN.
+            let count = u32::try_from(longest).unwrap_or(u32::MAX);
+            return Err(WireError::Oversized { at: 9, count }.into());
+        }
         let mut slots = Vec::with_capacity(reports.len());
         {
             let mut gate = self.gate();
-            for report in reports {
+            for (report, payload) in reports.iter().zip(payloads) {
                 let lsn = gate.next_lsn;
                 gate.next_lsn = lsn + 1;
                 let slot = Slot::new();
                 gate.staged.push(StagedRecord {
                     lsn,
                     report: report.clone(),
+                    payload,
                     slot: Arc::clone(&slot),
                 });
                 slots.push(slot);
@@ -551,14 +569,10 @@ impl<S: Storage> DurableFleet<S> {
             // Encode and append outside the gate so stagers can pile the
             // next batch on while this one syncs.
             drop(gate);
-            let mut bytes = Vec::new();
-            for record in &batch {
-                bytes.extend_from_slice(&encode_record(
-                    REC_REPORT,
-                    record.lsn,
-                    &record.report.encode(),
-                ));
-            }
+            let bytes: Vec<u8> = batch
+                .iter()
+                .flat_map(|record| encode_record(REC_REPORT, record.lsn, &record.payload))
+                .collect();
             let append_started = Instant::now();
             let appended = self.storage.append(WAL_OBJECT, &bytes);
             self.wal_append_hist
@@ -665,9 +679,10 @@ impl<S: Storage> DurableFleet<S> {
         // record in between.
         let applied_lsn = gate.next_lsn - 1;
         let snap = self.service.export_snapshot();
-        let mut bytes = applied_lsn.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&snap.encode());
-        self.storage.put(SNAPSHOT_OBJECT, &bytes)?;
+        let mut envelope = ByteWriter::new();
+        envelope.u64(applied_lsn);
+        envelope.bytes(&snap.encode()?);
+        self.storage.put(SNAPSHOT_OBJECT, &envelope.into_bytes())?;
         self.storage.truncate(WAL_OBJECT, 0)?;
         self.snapshots_written.fetch_add(1, Ordering::Relaxed);
         gate.fresh = 0;
@@ -722,6 +737,58 @@ mod tests {
             publish_every: 0,
             ..FleetConfig::default()
         }
+    }
+
+    #[test]
+    fn records_survive_the_corruption_harness() {
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let record = decode_record(&mut r)?;
+            r.finish()?;
+            Ok(record)
+        };
+        let cases = [
+            (REC_REPORT, 7, report(1, 0, 0xB06).encode()),
+            (REC_PUBLISH, 8, Vec::new()),
+        ];
+        for (kind, lsn, payload) in cases {
+            let bytes = encode_record(kind, lsn, &payload);
+            let record = WalRecord { lsn, kind, payload };
+            proptest::corrupt::check_decoder(&bytes, &record, decode, WireError::offset, lsn)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn over_cap_state_fails_the_snapshot_without_wedging_the_fleet() {
+        // Each report fits a WAL record; together their distinct
+        // defer-hint keys outgrow the snapshot's entry cap.
+        let half = crate::wire::MAX_ENTRIES / 2 + 1;
+        let hints = |client: u64| RunReport {
+            defer_hints: (0..half).map(|i| (i, client as u32, 1)).collect(),
+            ..report(client, 0, 0xBAD)
+        };
+        let durability = DurabilityConfig { snapshot_every: 2 };
+        let fleet = DurableFleet::open(MemStorage::new(), config(), durability).unwrap();
+        fleet.ingest_report(&hints(1)).unwrap();
+        // The second fresh report hits the snapshot cadence inside the
+        // flush leader: its caller gets the error and the leader retires.
+        assert!(fleet.ingest_report(&hints(2)).is_err());
+        assert!(matches!(
+            fleet.snapshot(),
+            Err(DurabilityError::Wire(WireError::Oversized { .. }))
+        ));
+        fleet.publish().unwrap();
+        // A report the WAL cannot hold is refused before it is staged.
+        let huge = RunReport {
+            defer_hints: (0..crate::wire::MAX_ENTRIES).map(|i| (i, 0, 1)).collect(),
+            ..report(3, 0, 0xBAD)
+        };
+        assert!(matches!(
+            fleet.ingest_report(&huge),
+            Err(DurabilityError::Wire(WireError::Oversized { at: 9, .. }))
+        ));
+        assert_eq!(fleet.metrics().reports, 2);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! The encoding is a fixed little-endian binary layout (magic, flags,
 //! identity, four counted arrays). No self-describing framing — both ends
 //! are this crate, and `xt-net` wraps reports in a [`frame`](crate::frame)
-//! when they cross a socket — but decode validates everything through the
-//! shared offset-tracking [`Reader`](crate::frame::Reader): magic,
+//! when they cross a socket — but it is written with the shared
+//! [`ByteWriter`](crate::frame::ByteWriter) and decode validates
+//! everything through the shared offset-tracking
+//! [`Reader`](crate::frame::Reader): magic,
 //! version, boolean bytes, array bounds, the site-population claim, and
 //! trailing garbage all fail loudly with a [`WireError`] naming the
 //! offset.
@@ -19,8 +21,8 @@
 use xt_alloc::{AllocTime, SiteHash};
 use xt_isolate::cumulative::{RunSummary, SiteObservation};
 
-use crate::frame::Reader;
 pub use crate::frame::WireError;
+use crate::frame::{ByteWriter, Reader};
 
 /// First bytes of every report: `XTR` plus the format version.
 const MAGIC: [u8; 4] = *b"XTR1";
@@ -42,7 +44,22 @@ const MAX_GRID_NODES: u32 = 1 << 16;
 /// site-population claim (`n_sites`) is held to the same cap: it feeds
 /// the §5 Bayesian prior `N`, where one absurd value would out-max every
 /// honest report in the fleet.
-const MAX_ENTRIES: u32 = 1 << 20;
+pub(crate) const MAX_ENTRIES: u32 = 1 << 20;
+
+/// Reads an `f64` that must be a finite probability in `[0, 1]`: one NaN
+/// folded into a site's running products would poison its evidence
+/// permanently (NaN ratios never flag).
+fn probability(r: &mut Reader<'_>) -> Result<f64, WireError> {
+    let at = r.pos();
+    let v = f64::from_bits(r.u64()?);
+    if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+        return Err(WireError::BadProbability {
+            at,
+            bits: v.to_bits(),
+        });
+    }
+    Ok(v)
+}
 
 /// One client run, as submitted to the aggregation service.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,6 +88,7 @@ impl RunReport {
     /// Wraps one run's [`RunSummary`] for submission by `client`.
     #[must_use]
     pub fn from_summary(client: u64, seq: u32, summary: &RunSummary) -> Self {
+        let obs = |v: &[SiteObservation]| v.iter().map(|o| (o.site.raw(), o.x, o.y)).collect();
         RunReport {
             client,
             seq,
@@ -81,16 +99,8 @@ impl RunReport {
             n_sites: u32::try_from(summary.n_sites)
                 .unwrap_or(MAX_ENTRIES)
                 .min(MAX_ENTRIES),
-            overflow_obs: summary
-                .overflow_obs
-                .iter()
-                .map(|o| (o.site.raw(), o.x, o.y))
-                .collect(),
-            dangling_obs: summary
-                .dangling_obs
-                .iter()
-                .map(|o| (o.site.raw(), o.x, o.y))
-                .collect(),
+            overflow_obs: obs(&summary.overflow_obs),
+            dangling_obs: obs(&summary.dangling_obs),
             pad_hints: summary
                 .pad_hints
                 .iter()
@@ -108,28 +118,21 @@ impl RunReport {
     /// implementations and tests; the service folds reports directly).
     #[must_use]
     pub fn to_summary(&self) -> RunSummary {
+        let obs = |v: &[(u32, f64, bool)]| {
+            v.iter()
+                .map(|&(site, x, y)| SiteObservation {
+                    site: SiteHash::from_raw(site),
+                    x,
+                    y,
+                })
+                .collect()
+        };
         RunSummary {
             failed: self.failed,
             clock: AllocTime::from_raw(self.clock),
             n_sites: self.n_sites as usize,
-            overflow_obs: self
-                .overflow_obs
-                .iter()
-                .map(|&(site, x, y)| SiteObservation {
-                    site: SiteHash::from_raw(site),
-                    x,
-                    y,
-                })
-                .collect(),
-            dangling_obs: self
-                .dangling_obs
-                .iter()
-                .map(|&(site, x, y)| SiteObservation {
-                    site: SiteHash::from_raw(site),
-                    x,
-                    y,
-                })
-                .collect(),
+            overflow_obs: obs(&self.overflow_obs),
+            dangling_obs: obs(&self.dangling_obs),
             pad_hints: self
                 .pad_hints
                 .iter()
@@ -154,36 +157,34 @@ impl RunReport {
     /// Serializes to the binary wire format.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            44 + 13 * (self.overflow_obs.len() + self.dangling_obs.len())
-                + 8 * self.pad_hints.len()
-                + 16 * self.defer_hints.len(),
+        let mut w = ByteWriter::with_capacity(
+            45 + 13 * self.observations() + 8 * self.pad_hints.len() + 16 * self.defer_hints.len(),
         );
-        out.extend_from_slice(&MAGIC);
-        out.push(u8::from(self.failed));
-        out.extend_from_slice(&self.client.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.clock.to_le_bytes());
-        out.extend_from_slice(&self.n_sites.to_le_bytes());
-        out.extend_from_slice(&(self.overflow_obs.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.dangling_obs.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.pad_hints.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.defer_hints.len() as u32).to_le_bytes());
+        w.bytes(&MAGIC);
+        w.bool(self.failed);
+        w.u64(self.client);
+        w.u32(self.seq);
+        w.u64(self.clock);
+        w.u32(self.n_sites);
+        w.count(self.overflow_obs.len(), MAX_ENTRIES);
+        w.count(self.dangling_obs.len(), MAX_ENTRIES);
+        w.count(self.pad_hints.len(), MAX_ENTRIES);
+        w.count(self.defer_hints.len(), MAX_ENTRIES);
         for &(site, x, y) in self.overflow_obs.iter().chain(&self.dangling_obs) {
-            out.extend_from_slice(&site.to_le_bytes());
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-            out.push(u8::from(y));
+            w.u32(site);
+            w.f64(x);
+            w.bool(y);
         }
         for &(site, pad) in &self.pad_hints {
-            out.extend_from_slice(&site.to_le_bytes());
-            out.extend_from_slice(&pad.to_le_bytes());
+            w.u32(site);
+            w.u32(pad);
         }
         for &(alloc, free, ticks) in &self.defer_hints {
-            out.extend_from_slice(&alloc.to_le_bytes());
-            out.extend_from_slice(&free.to_le_bytes());
-            out.extend_from_slice(&ticks.to_le_bytes());
+            w.u32(alloc);
+            w.u32(free);
+            w.u64(ticks);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the binary wire format.
@@ -223,22 +224,7 @@ impl RunReport {
         }
         let mut obs = |n: u32| -> Result<Vec<(u32, f64, bool)>, WireError> {
             (0..n)
-                .map(|_| {
-                    let site = r.u32()?;
-                    let at = r.pos();
-                    let x = f64::from_bits(r.u64()?);
-                    // A probability must be finite and in [0, 1]: one NaN
-                    // folded into a site's running products would poison
-                    // its evidence permanently (NaN ratios never flag).
-                    if !x.is_finite() || !(0.0..=1.0).contains(&x) {
-                        return Err(WireError::BadProbability {
-                            at,
-                            bits: x.to_bits(),
-                        });
-                    }
-                    let y = r.bool()?;
-                    Ok((site, x, y))
-                })
+                .map(|_| Ok((r.u32()?, probability(&mut r)?, r.bool()?)))
                 .collect()
         };
         let overflow_obs = obs(n_overflow)?;
@@ -329,57 +315,73 @@ pub struct FleetSnapshot {
 
 impl FleetSnapshot {
     /// Serializes to the binary snapshot format.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            128 + self.epoch_text.len()
-                + 28 * self.windows.len()
-                + (self.overflow.len() + self.dangling.len())
-                    * (24 + 8 * (self.integration_steps as usize + 1))
-                + 8 * self.pad_hints.len()
-                + 16 * self.defer_hints.len(),
-        );
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&self.reports.to_le_bytes());
-        out.extend_from_slice(&self.failed_reports.to_le_bytes());
-        out.extend_from_slice(&self.duplicates.to_le_bytes());
-        out.extend_from_slice(&self.rejected_reports.to_le_bytes());
-        out.extend_from_slice(&self.pending.to_le_bytes());
-        out.extend_from_slice(&self.epoch_reports.to_le_bytes());
-        out.extend_from_slice(&self.n_sites.to_le_bytes());
-        out.extend_from_slice(&self.integration_steps.to_le_bytes());
-        out.extend_from_slice(&(self.epoch_text.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.epoch_text.as_bytes());
-        out.extend_from_slice(&(self.windows.len() as u32).to_le_bytes());
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`], at its length prefix, for a collection
+    /// longer than [`FleetSnapshot::decode`] accepts. Snapshot sizes
+    /// follow remote input (a window per client, evidence and hints per
+    /// site), so this is a runtime condition, not an encoder bug.
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        self.encode_capped(true)
+    }
+
+    /// The encoding with each length held to its decode cap if `capped`,
+    /// else only to the `u32` prefix width.
+    fn encode_capped(&self, capped: bool) -> Result<Vec<u8>, WireError> {
+        let mut w = ByteWriter::new();
+        let count = |w: &mut ByteWriter, n: usize, cap: u32| {
+            let cap = if capped { cap } else { u32::MAX };
+            if n > cap as usize {
+                return Err(WireError::Oversized {
+                    at: w.len(),
+                    count: u32::try_from(n).unwrap_or(u32::MAX),
+                });
+            }
+            w.count(n, cap);
+            Ok(())
+        };
+        w.bytes(&SNAPSHOT_MAGIC);
+        w.u64(self.reports);
+        w.u64(self.failed_reports);
+        w.u64(self.duplicates);
+        w.u64(self.rejected_reports);
+        w.u64(self.pending);
+        w.u64(self.epoch_reports);
+        w.u64(self.n_sites);
+        w.u32(self.integration_steps);
+        count(&mut w, self.epoch_text.len(), MAX_EPOCH_TEXT)?;
+        w.bytes(self.epoch_text.as_bytes());
+        count(&mut w, self.windows.len(), MAX_ENTRIES)?;
         for &(client, bits, high) in &self.windows {
-            out.extend_from_slice(&client.to_le_bytes());
-            out.extend_from_slice(&bits.to_le_bytes());
-            out.extend_from_slice(&high.to_le_bytes());
+            w.u64(client);
+            w.u128(bits);
+            w.u32(high);
         }
         for family in [&self.overflow, &self.dangling] {
-            out.extend_from_slice(&(family.len() as u32).to_le_bytes());
+            count(&mut w, family.len(), MAX_ENTRIES)?;
             for rec in family {
-                out.extend_from_slice(&rec.site.to_le_bytes());
-                out.extend_from_slice(&rec.obs.to_le_bytes());
-                out.extend_from_slice(&rec.l0.to_bits().to_le_bytes());
-                out.extend_from_slice(&(rec.grid.len() as u32).to_le_bytes());
+                w.u32(rec.site);
+                w.u64(rec.obs);
+                w.f64(rec.l0);
+                count(&mut w, rec.grid.len(), MAX_GRID_NODES)?;
                 for &g in &rec.grid {
-                    out.extend_from_slice(&g.to_bits().to_le_bytes());
+                    w.f64(g);
                 }
             }
         }
-        out.extend_from_slice(&(self.pad_hints.len() as u32).to_le_bytes());
+        count(&mut w, self.pad_hints.len(), MAX_ENTRIES)?;
         for &(site, pad) in &self.pad_hints {
-            out.extend_from_slice(&site.to_le_bytes());
-            out.extend_from_slice(&pad.to_le_bytes());
+            w.u32(site);
+            w.u32(pad);
         }
-        out.extend_from_slice(&(self.defer_hints.len() as u32).to_le_bytes());
+        count(&mut w, self.defer_hints.len(), MAX_ENTRIES)?;
         for &(alloc, free, ticks) in &self.defer_hints {
-            out.extend_from_slice(&alloc.to_le_bytes());
-            out.extend_from_slice(&free.to_le_bytes());
-            out.extend_from_slice(&ticks.to_le_bytes());
+            w.u32(alloc);
+            w.u32(free);
+            w.u64(ticks);
         }
-        out
+        Ok(w.into_bytes())
     }
 
     /// Parses the binary snapshot format. Like the report decoder, every
@@ -416,66 +418,34 @@ impl FleetSnapshot {
         // The grid every evidence record must carry: `steps + 1` Simpson
         // nodes for the table's forced-even `steps >= 2`.
         let expected_nodes = (integration_steps.max(2) & !1) + 1;
-        let text_len = r.count(MAX_EPOCH_TEXT)?;
-        let text_at = r.pos();
-        let text_bytes = r.bytes(text_len as usize)?;
-        let epoch_text = std::str::from_utf8(text_bytes)
-            .map_err(|e| WireError::BadUtf8 {
-                at: text_at + e.valid_up_to(),
-            })?
-            .to_string();
-        let n_windows = r.count(MAX_ENTRIES)?;
-        let windows = (0..n_windows)
-            .map(|_| Ok((r.u64()?, r.u128()?, r.u32()?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
-        let mut family = || -> Result<Vec<EvidenceRecord>, WireError> {
-            let n = r.count(MAX_ENTRIES)?;
-            (0..n)
-                .map(|_| {
-                    let site = r.u32()?;
-                    let obs = r.u64()?;
-                    let probability = |r: &mut Reader| -> Result<f64, WireError> {
-                        let at = r.pos();
-                        let v = f64::from_bits(r.u64()?);
-                        if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                            return Err(WireError::BadProbability {
-                                at,
-                                bits: v.to_bits(),
-                            });
-                        }
-                        Ok(v)
-                    };
-                    let l0 = probability(&mut r)?;
-                    let nodes_at = r.pos();
-                    let nodes = r.count(MAX_GRID_NODES)?;
-                    if nodes != expected_nodes {
-                        return Err(WireError::BadGrid {
-                            at: nodes_at,
-                            nodes,
-                        });
-                    }
-                    let grid = (0..nodes)
-                        .map(|_| probability(&mut r))
-                        .collect::<Result<Vec<_>, WireError>>()?;
-                    Ok(EvidenceRecord {
-                        site,
-                        obs,
-                        l0,
-                        grid,
-                    })
+        let epoch_text = r.string(MAX_EPOCH_TEXT)?;
+        let windows = r.list(MAX_ENTRIES, |r| Ok((r.u64()?, r.u128()?, r.u32()?)))?;
+        let family = |r: &mut Reader<'_>| {
+            r.list(MAX_ENTRIES, |r| {
+                let (site, obs, l0) = (r.u32()?, r.u64()?, probability(r)?);
+                let nodes_at = r.pos();
+                let nodes = r.count(MAX_GRID_NODES)?;
+                if nodes != expected_nodes {
+                    return Err(WireError::BadGrid {
+                        at: nodes_at,
+                        nodes,
+                    });
+                }
+                let grid = (0..nodes)
+                    .map(|_| probability(r))
+                    .collect::<Result<_, _>>()?;
+                Ok(EvidenceRecord {
+                    site,
+                    obs,
+                    l0,
+                    grid,
                 })
-                .collect()
+            })
         };
-        let overflow = family()?;
-        let dangling = family()?;
-        let n_pads = r.count(MAX_ENTRIES)?;
-        let pad_hints = (0..n_pads)
-            .map(|_| Ok((r.u32()?, r.u32()?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
-        let n_defers = r.count(MAX_ENTRIES)?;
-        let defer_hints = (0..n_defers)
-            .map(|_| Ok((r.u32()?, r.u32()?, r.u64()?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
+        let overflow = family(&mut r)?;
+        let dangling = family(&mut r)?;
+        let pad_hints = r.list(MAX_ENTRIES, |r| Ok((r.u32()?, r.u32()?)))?;
+        let defer_hints = r.list(MAX_ENTRIES, |r| Ok((r.u32()?, r.u32()?, r.u64()?)))?;
         r.finish()?;
         Ok(FleetSnapshot {
             reports,
@@ -511,8 +481,12 @@ impl FleetSnapshot {
         };
         const FNV_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
         const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+        // States too large to snapshot still digest.
+        let bytes = canonical
+            .encode_capped(false)
+            .expect("no in-memory collection holds 2^32 entries");
         let mut h = FNV_BASIS;
-        for &b in &canonical.encode() {
+        for &b in &bytes {
             h ^= u128::from(b);
             h = h.wrapping_mul(FNV_PRIME);
         }
@@ -523,6 +497,14 @@ impl FleetSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Overwrites `bytes` at `at` with whatever `put` writes.
+    fn patch(bytes: &mut [u8], at: usize, put: impl FnOnce(&mut ByteWriter)) {
+        let mut w = ByteWriter::new();
+        put(&mut w);
+        let new = w.into_bytes();
+        bytes[at..at + new.len()].copy_from_slice(&new);
+    }
 
     fn sample() -> RunReport {
         RunReport {
@@ -536,15 +518,6 @@ mod tests {
             pad_hints: vec![(0xB06, 36)],
             defer_hints: vec![(0xD00D, 0xF, 42)],
         }
-    }
-
-    #[test]
-    fn round_trips() {
-        let report = sample();
-        let bytes = report.encode();
-        assert_eq!(RunReport::decode(&bytes).unwrap(), report);
-        // Stays compact: well under a kilobyte for a typical run.
-        assert!(bytes.len() < 200, "report is {} bytes", bytes.len());
     }
 
     #[test]
@@ -565,14 +538,19 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncation_at_every_length() {
-        let bytes = sample().encode();
+    fn sample_survives_the_corruption_harness() {
+        let report = sample();
+        let bytes = report.encode();
+        // Stays compact: well under a kilobyte for a typical run.
+        assert!(bytes.len() < 200, "report is {} bytes", bytes.len());
+        proptest::corrupt::check_decoder(&bytes, &report, RunReport::decode, WireError::offset, 7)
+            .unwrap();
         for len in 0..bytes.len() {
             let err = RunReport::decode(&bytes[..len]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated { .. } | WireError::BadBool { .. }),
-                "prefix of {len} bytes gave {err:?}"
-            );
+            assert!(matches!(
+                err,
+                WireError::Truncated { .. } | WireError::BadBool { .. }
+            ));
         }
     }
 
@@ -591,7 +569,7 @@ mod tests {
         let mut bytes = sample().encode();
         // Overflow-count field sits after magic(4)+flag(1)+client(8)+seq(4)
         // +clock(8)+n_sites(4) = 29.
-        bytes[29..33].copy_from_slice(&u32::MAX.to_le_bytes());
+        patch(&mut bytes, 29, |w| w.u32(u32::MAX));
         let err = RunReport::decode(&bytes).unwrap_err();
         assert!(
             matches!(err, WireError::Oversized { at: 29, .. }),
@@ -606,7 +584,7 @@ mod tests {
         let x_off = 45 + 4;
         for bad in [f64::NAN, f64::INFINITY, -0.25, 1.5] {
             let mut bytes = sample().encode();
-            bytes[x_off..x_off + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            patch(&mut bytes, x_off, |w| w.f64(bad));
             let err = RunReport::decode(&bytes).unwrap_err();
             assert!(
                 matches!(err, WireError::BadProbability { at, .. } if at == x_off),
@@ -616,7 +594,7 @@ mod tests {
         // The boundary values themselves stay legal.
         for ok in [0.0f64, 1.0] {
             let mut bytes = sample().encode();
-            bytes[x_off..x_off + 8].copy_from_slice(&ok.to_bits().to_le_bytes());
+            patch(&mut bytes, x_off, |w| w.f64(ok));
             assert!(RunReport::decode(&bytes).is_ok(), "x = {ok} rejected");
         }
     }
@@ -629,7 +607,7 @@ mod tests {
     fn rejects_absurd_site_populations() {
         for absurd in [u32::MAX, (1 << 20) + 1] {
             let mut bytes = sample().encode();
-            bytes[25..29].copy_from_slice(&absurd.to_le_bytes());
+            patch(&mut bytes, 25, |w| w.u32(absurd));
             let err = RunReport::decode(&bytes).unwrap_err();
             assert!(
                 matches!(
@@ -645,7 +623,7 @@ mod tests {
         }
         // The cap itself stays legal.
         let mut bytes = sample().encode();
-        bytes[25..29].copy_from_slice(&(1u32 << 20).to_le_bytes());
+        patch(&mut bytes, 25, |w| w.u32(1u32 << 20));
         assert!(RunReport::decode(&bytes).is_ok());
     }
 
@@ -655,7 +633,7 @@ mod tests {
         // each naming a site; claiming a zero site population alongside
         // them is internally inconsistent.
         let mut bytes = sample().encode();
-        bytes[25..29].copy_from_slice(&0u32.to_le_bytes());
+        patch(&mut bytes, 25, |w| w.u32(0));
         let err = RunReport::decode(&bytes).unwrap_err();
         assert!(
             matches!(

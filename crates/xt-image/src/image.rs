@@ -18,6 +18,14 @@ use crate::{ByteReader, ByteWriter, ImageDecodeError};
 const MAGIC: u32 = 0x5849_4D47; // "XIMG"
 const VERSION: u32 = 1;
 
+/// Encoded bytes of a miniheap before its slots: class, index, base,
+/// object size, creation time, slot count.
+const MINIHEAP_HEADER: usize = 4 + 4 + 8 + 4 + 8 + 4;
+
+/// Encoded bytes of a slot before its `object_size` data bytes: state,
+/// canary and used flags, object id, two sites, two times, request size.
+const SLOT_HEADER: usize = 3 + 8 + 4 + 4 + 8 + 8 + 4;
+
 /// Everything recorded about one object slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotImage {
@@ -603,7 +611,9 @@ impl HeapImage {
         w.into_bytes()
     }
 
-    /// Decodes an image from its binary format.
+    /// Decodes an image from its binary format. Element counts are
+    /// checked against the bytes left before anything is allocated, so
+    /// a hostile count is an error, not a huge allocation.
     ///
     /// # Errors
     ///
@@ -621,27 +631,35 @@ impl HeapImage {
         let canary = r.u32()?;
         let fill_probability = r.f64()?;
         let multiplier = r.f64()?;
-        let n_miniheaps = r.u32()? as usize;
+        let n_miniheaps = r.count(MINIHEAP_HEADER)?;
         let mut miniheaps = Vec::with_capacity(n_miniheaps);
         for _ in 0..n_miniheaps {
             let class = r.u32()?;
             let index = r.u32()?;
             let base = Addr::new(r.u64()?);
+            let size_at = r.pos();
             let object_size = r.u32()?;
             if object_size == 0 {
                 return Err(ImageDecodeError::BadField {
                     field: "object_size",
+                    at: size_at,
                 });
             }
             let created_at = AllocTime::from_raw(r.u64()?);
-            let n_slots = r.u32()? as usize;
+            let n_slots = r.count(SLOT_HEADER + object_size as usize)?;
             let mut slots = Vec::with_capacity(n_slots);
             for _ in 0..n_slots {
+                let state_at = r.pos();
                 let state = match r.u8()? {
                     0 => SlotState::Free,
                     1 => SlotState::Live,
                     2 => SlotState::Bad,
-                    _ => return Err(ImageDecodeError::BadField { field: "state" }),
+                    _ => {
+                        return Err(ImageDecodeError::BadField {
+                            field: "state",
+                            at: state_at,
+                        })
+                    }
                 };
                 let canaried = r.u8()? != 0;
                 let ever_used = r.u8()? != 0;
@@ -834,6 +852,35 @@ mod tests {
             HeapImage::from_bytes(&bad_version).unwrap_err(),
             ImageDecodeError::BadVersion { .. }
         ));
+    }
+
+    /// A 40-byte header (valid magic and version, then a miniheap count
+    /// of `u32::MAX`) must be an ordinary decode error, not a ~240 GB
+    /// allocation that aborts the process.
+    #[test]
+    fn hostile_counts_are_rejected_before_allocating() {
+        let mut w = ByteWriter::new();
+        w.u32(MAGIC);
+        w.u32(VERSION);
+        w.u64(0);
+        w.u32(0);
+        w.f64(0.5);
+        w.f64(2.0);
+        w.u32(u32::MAX);
+        let header = w.into_bytes();
+        assert_eq!(header.len(), 40);
+        assert_eq!(
+            HeapImage::from_bytes(&header).unwrap_err(),
+            ImageDecodeError::UnexpectedEof { at: 36 }
+        );
+        // The same for a slot count inside an otherwise valid miniheap.
+        let mut bytes = HeapImage::capture(&heap_with_activity(11)).to_bytes();
+        let n_slots_at = 40 + MINIHEAP_HEADER - 4;
+        bytes[n_slots_at..n_slots_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            HeapImage::from_bytes(&bytes).unwrap_err(),
+            ImageDecodeError::UnexpectedEof { at: n_slots_at }
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use xt_alloc::{Heap, ObjectId, Rng, SiteHash};
 use xt_diefast::{DieFastConfig, DieFastHeap};
-use xt_image::HeapImage;
+use xt_image::{HeapImage, ImageDecodeError};
 
 /// Applies `steps` random malloc/free/store steps to `heap`.
 fn churn(heap: &mut DieFastHeap, rng: &mut Rng, live: &mut Vec<xt_arena::Addr>, steps: usize) {
@@ -37,12 +37,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Binary encoding round-trips arbitrary heap states exactly,
-    /// including the rebuilt object index.
+    /// including the rebuilt object index, and the decoder survives the
+    /// workspace's corruption harness: truncated and byte-mutated images
+    /// never panic (nor abort on a hostile count) and every rejection
+    /// names an offset inside the file.
     #[test]
     fn binary_round_trip(seed in 0u64..5000, steps in 10usize..150, p in 0.0f64..=1.0) {
         let heap = churned_heap(seed, steps, p);
         let image = HeapImage::capture(&heap);
-        let decoded = HeapImage::from_bytes(&image.to_bytes()).unwrap();
+        let bytes = image.to_bytes();
+        proptest::corrupt::check_decoder(
+            &bytes,
+            &image,
+            HeapImage::from_bytes,
+            |e: &ImageDecodeError| Some(e.offset()),
+            seed,
+        )?;
+        let decoded = HeapImage::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&decoded, &image);
         for id in 1..=steps as u64 {
             prop_assert_eq!(decoded.find_object(ObjectId::from_raw(id)), image.find_object(ObjectId::from_raw(id)));

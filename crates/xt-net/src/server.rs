@@ -78,8 +78,8 @@ use xt_workloads::Workload;
 
 use crate::proto::{Msg, SubmitJob, WireHealth, WireOutcome, WireReceipt, WireVerdict};
 
-/// Upper bound on the poller's sleep: shutdown latency and the epoch
-/// watcher's stop-flag recheck cadence are bounded by this.
+/// Upper bound on the poller's sleep, and the epoch watcher's backstop
+/// park; shutdown wakes both directly rather than waiting this out.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// The poll token reserved for the listener; connections get tokens
@@ -587,6 +587,9 @@ fn serve<W: Workload + Sync>(
             poll_loop(
                 listener, config, backend, counters, obs, stop, &mailbox, &frontend, work_tx,
             );
+            // The epoch watcher exits with the loop, not a poll later.
+            stop.store(true, Ordering::Release);
+            backend.service().wake_epoch_waiters();
         });
         frontend.shutdown();
     });
@@ -696,8 +699,8 @@ fn worker_loop(
 
 /// The epoch watcher: parks on the service's epoch signal and, per
 /// fresh epoch, syncs the server's own pools and broadcasts the push
-/// frame. The park is bounded by [`POLL_INTERVAL`] so the stop flag is
-/// honored promptly.
+/// frame. The server wakes the park when its poll loop exits; the
+/// [`POLL_INTERVAL`] bound is only a backstop.
 fn epoch_watcher(
     service: &FleetService,
     frontend: &PoolFrontend<'_>,
@@ -715,7 +718,7 @@ fn epoch_watcher(
         synced_epoch.fetch_max(have, Ordering::AcqRel);
     }
     while !stop.load(Ordering::Acquire) {
-        let Some(epoch) = service.wait_epoch_newer(have, POLL_INTERVAL) else {
+        let Some(epoch) = service.wait_epoch_newer(have, POLL_INTERVAL, stop) else {
             continue;
         };
         have = epoch.number;

@@ -1,52 +1,20 @@
-//! Corruption fuzzing for the observability frame decoders — the same
+//! Corruption fuzzing for the message decoders with generated contents —
+//! [`Msg::Health`], [`Msg::Metrics`] and [`Msg::EpochPush`] — through
+//! the workspace's corruption harness ([`proptest::corrupt`]), the same
 //! regime `xt-fleet/tests/fuzz_decode.rs` applies to reports, frames,
-//! and snapshots, here aimed at the two message decoders this crate
-//! added on the trust boundary: [`Msg::Health`] and [`Msg::Metrics`].
-//! Valid encodings are generated, truncated at every length, and
-//! byte-mutated at seeded positions. Decoders must **never panic**, and
-//! every rejection must carry a usable diagnostic: `BadMagic` by value,
-//! or a byte offset within the buffer.
+//! and snapshots. (Every message kind also runs the harness over fixed
+//! samples in `proto.rs`'s unit tests.) Valid encodings are generated,
+//! round-tripped, truncated at every length, and byte-mutated at seeded
+//! positions. Decoders must **never panic**, and every rejection must
+//! carry a usable diagnostic: `BadMagic` by value, or a byte offset
+//! within the buffer.
 
+use proptest::corrupt::{check_decoder, check_prefix_parser};
 use proptest::prelude::*;
 
 use xt_fleet::{Frame, WireError};
 use xt_net::proto::{Msg, WireHealth};
 use xt_obs::{HistogramSnapshot, RegistrySnapshot, HISTOGRAM_BUCKETS};
-
-/// The offset a `WireError` points at, if the variant carries one.
-fn error_offset(e: &WireError) -> Option<usize> {
-    match e {
-        WireError::BadMagic(_) | WireError::RateLimited { .. } => None,
-        WireError::Truncated { at }
-        | WireError::BadBool { at, .. }
-        | WireError::BadProbability { at, .. }
-        | WireError::Oversized { at, .. }
-        | WireError::BadSiteCount { at, .. }
-        | WireError::BadGrid { at, .. }
-        | WireError::BadKind { at, .. }
-        | WireError::BadUtf8 { at }
-        | WireError::Trailing { at, .. } => Some(*at),
-    }
-}
-
-fn assert_diagnosable(err: &WireError, len: usize) -> Result<(), TestCaseError> {
-    if let Some(at) = error_offset(err) {
-        prop_assert!(
-            at <= len,
-            "error offset {at} beyond the {len}-byte buffer: {err:?}"
-        );
-    }
-    Ok(())
-}
-
-/// SplitMix64, for seeded corruption positions.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The full decode path a connection runs: frame layer, then message.
 fn decode_msg(bytes: &[u8]) -> Result<Msg, WireError> {
@@ -135,137 +103,25 @@ fn epoch_push_strategy() -> impl Strategy<Value = Msg> {
     ]
 }
 
-/// Truncation points: exhaustive for small buffers, seeded sampling for
-/// large ones (a metrics frame with histograms runs to kilobytes).
-fn truncation_points(len: usize, seed: u64) -> Vec<usize> {
-    if len <= 256 {
-        return (0..len).collect();
-    }
-    let mut points: Vec<usize> = (0..128).collect();
-    let mut state = seed;
-    points.extend((0..96).map(|_| 128 + (splitmix(&mut state) as usize) % (len - 128)));
-    points.push(len - 1);
-    points
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn observability_messages_round_trip(msg in observability_msg_strategy()) {
-        let bytes = msg.to_frame().encode();
-        prop_assert_eq!(decode_msg(&bytes).unwrap(), msg);
-    }
-
-    #[test]
-    fn truncated_observability_frames_always_reject_with_offsets(
+    fn observability_messages_survive_corruption(
         msg in observability_msg_strategy(),
         seed in any::<u64>(),
     ) {
-        let bytes = msg.to_frame().encode();
-        for len in truncation_points(bytes.len(), seed) {
-            let err = decode_msg(&bytes[..len])
-                .expect_err("a strict prefix decoded as a whole message");
-            assert_diagnosable(&err, len)?;
-        }
+        check_decoder(&msg.to_frame().encode(), &msg, decode_msg, WireError::offset, seed)?;
     }
 
-    /// Byte mutations: never panic, and rejections stay diagnosable.
-    /// (Acceptance is legitimate — most positions hold counter/bucket
-    /// values where any byte is a different valid value.)
-    #[test]
-    fn mutated_observability_frames_never_panic(
-        msg in observability_msg_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let bytes = msg.to_frame().encode();
-        let mut state = seed;
-        for _ in 0..64 {
-            let mut corrupt = bytes.clone();
-            let pos = (splitmix(&mut state) as usize) % corrupt.len();
-            let delta = (splitmix(&mut state) % 255) as u8 + 1;
-            corrupt[pos] ^= delta;
-            if let Err(err) = decode_msg(&corrupt) {
-                assert_diagnosable(&err, corrupt.len())?;
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_push_round_trips(msg in epoch_push_strategy()) {
-        let bytes = msg.to_frame().encode();
-        prop_assert_eq!(decode_msg(&bytes).unwrap(), msg);
-    }
-
-    /// Every strict prefix of an `EpochPush` frame rejects with a
-    /// usable diagnostic — this is the frame an event-loop connection
+    /// `EpochPush` is the frame an event-loop connection most often
     /// holds *partially buffered* between readiness events, so the
-    /// incremental parser must classify prefixes exactly like the
-    /// whole-buffer decoder: a prefix is `Ok(None)` (need more), never
-    /// a panic, and the only errors are offset-bearing.
+    /// incremental parser must classify its prefixes and corruptions
+    /// exactly like the whole-buffer decoder.
     #[test]
-    fn truncated_epoch_push_rejects_with_offsets(
-        msg in epoch_push_strategy(),
-        seed in any::<u64>(),
-    ) {
+    fn epoch_push_survives_corruption(msg in epoch_push_strategy(), seed in any::<u64>()) {
         let bytes = msg.to_frame().encode();
-        for len in truncation_points(bytes.len(), seed) {
-            let err = decode_msg(&bytes[..len])
-                .expect_err("a strict prefix decoded as a whole message");
-            assert_diagnosable(&err, len)?;
-            // The incremental parser the server feeds partial reads
-            // through must agree: a strict prefix is "need more bytes",
-            // not an error and not a frame.
-            prop_assert!(matches!(Frame::parse_prefix(&bytes[..len]), Ok(None)));
-        }
-        // And the full buffer yields the frame plus its exact length.
-        let (frame, used) = Frame::parse_prefix(&bytes).unwrap().expect("complete frame");
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(Msg::from_frame(&frame).unwrap(), msg);
-    }
-
-    /// Mutated `EpochPush` frames never panic either decoder; every
-    /// rejection stays diagnosable. (UTF-8 payload corruption surfaces
-    /// as `BadUtf8` with an offset; header corruption as magic/kind
-    /// errors.)
-    #[test]
-    fn mutated_epoch_push_never_panics(
-        msg in epoch_push_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let bytes = msg.to_frame().encode();
-        let mut state = seed;
-        for _ in 0..64 {
-            let mut corrupt = bytes.clone();
-            let pos = (splitmix(&mut state) as usize) % corrupt.len();
-            let delta = (splitmix(&mut state) % 255) as u8 + 1;
-            corrupt[pos] ^= delta;
-            if let Err(err) = decode_msg(&corrupt) {
-                assert_diagnosable(&err, corrupt.len())?;
-            }
-            // The incremental parser sees the same hostile bytes off the
-            // socket; it must never panic, and whatever frame it cuts
-            // must match the whole-buffer decoder's on the same bytes.
-            match Frame::parse_prefix(&corrupt) {
-                Ok(Some((frame, used))) => {
-                    prop_assert!(used <= corrupt.len());
-                    prop_assert_eq!(
-                        &frame,
-                        &Frame::decode(&corrupt[..used]).expect("decoders agree")
-                    );
-                    if used < corrupt.len() {
-                        // A shrunk length field cut a shorter frame; the
-                        // whole-buffer decoder rejects the trailing bytes.
-                        prop_assert!(Frame::decode(&corrupt).is_err());
-                    }
-                }
-                Ok(None) => {
-                    // A corrupted length field can claim more bytes than
-                    // present; the blocking decoder calls that truncated.
-                    prop_assert!(Frame::decode(&corrupt).is_err());
-                }
-                Err(err) => assert_diagnosable(&err, corrupt.len())?,
-            }
-        }
+        check_decoder(&bytes, &msg, decode_msg, WireError::offset, seed)?;
+        check_prefix_parser(&bytes, Frame::parse_prefix, Frame::decode, WireError::offset, seed)?;
     }
 }

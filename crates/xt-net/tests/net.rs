@@ -894,3 +894,25 @@ fn flooding_client_is_rate_limited_while_quiet_client_is_not() {
     drop(quiet);
     server.shutdown();
 }
+
+/// Shutdown wakes the epoch watcher instead of waiting out its park:
+/// an idle server tears down in milliseconds, so ten bind/shutdown
+/// cycles fit in a second (a watcher left parked costs ~200 ms each).
+/// A health round trip first makes sure each server is up and idle.
+#[test]
+fn idle_servers_shut_down_promptly() {
+    let started = std::time::Instant::now();
+    for _ in 0..10 {
+        let server = NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", net_config(1))
+            .expect("bind localhost");
+        let client = NetClient::connect(server.local_addr()).expect("connect");
+        assert!(client.pull_health().expect("health").healthy);
+        drop(client);
+        server.shutdown();
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "10 idle bind/shutdown cycles took {elapsed:?}"
+    );
+}
