@@ -78,8 +78,9 @@ pub struct FrontendConfig {
     /// the pipelining depth downstream of the queue. Deep enough that the
     /// replica workers never starve while the driver finalizes the front
     /// job (a shallow pipeline measurably costs throughput: finalization
-    /// includes image capture, and workers idle once they drain what was
-    /// broadcast); shallow enough to bound the work lost on shutdown.
+    /// can include isolation replays, and workers idle once they drain
+    /// what was broadcast); shallow enough to bound the work lost on
+    /// shutdown.
     pub max_inflight: usize,
     /// How submissions pick a pool.
     pub route: RouteBy,
@@ -348,7 +349,7 @@ struct Shared {
     /// `frontend/verdict` (dispatch → streaming quorum posted),
     /// `frontend/exec` (dispatch → outcome finalized on all replicas).
     /// Each driver's [`ReplicaPool`] also records into this registry
-    /// (`pool/capture`, the heap-image capture stage), so one snapshot
+    /// (`pool/capture`, the per-run teardown stage), so one snapshot
     /// carries the whole service's stage latencies.
     obs: Arc<Registry>,
     queue_wait_hist: Arc<Histogram>,
@@ -702,7 +703,7 @@ fn input_shard(input: &WorkloadInput, pools: usize) -> usize {
 /// front-end's queue/tickets and the pool's synchronous caller API. Jobs
 /// are kept pipelined in the pool up to `max_inflight` deep and finalized
 /// in FIFO order; the streaming verdict is posted to each job's ticket
-/// before paying for the stragglers' image capture.
+/// before the stragglers finish.
 fn drive<W: Workload + Sync + ?Sized>(
     workload: &W,
     pool_config: PoolConfig,

@@ -19,11 +19,15 @@
 //!   replica 2. [`ReplicaPool::next_outcome`] completes jobs in submission
 //!   order.
 //! * **Streaming vote.** Workers publish their output the moment the
-//!   workload returns — *before* heap-image capture — and the
+//!   workload returns and its stack is torn down, and the
 //!   [`StreamingVoter`] folds it into per-replica digests. A quorum of
 //!   matching digests yields a verdict while stragglers are still
-//!   executing; their images are still collected afterwards, because
-//!   isolation wants every replica's heap (§4).
+//!   executing.
+//! * **Images only where isolation reads them.** A service run captures no
+//!   heap image: the paper's replicas dump their heaps only at a failure
+//!   point (§3.4, Fig. 5). When a job fails or diverges, every worker
+//!   replays it up to the detection clock, and only those replays capture
+//!   the images isolation (§4) reads.
 //! * **Hot patch reload.** [`ReplicaPool::load_epoch`] joins a fleet
 //!   [`PatchEpoch`] into the pool's live table between inputs, and (by
 //!   default) patches isolated from the pool's own failures are folded in
@@ -56,6 +60,7 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
+use xt_alloc::AllocTime;
 use xt_diefast::DieFastConfig;
 use xt_faults::FaultSpec;
 use xt_image::HeapImage;
@@ -65,7 +70,7 @@ use xt_patch::{PatchEpoch, PatchTable};
 use xt_workloads::{Workload, WorkloadInput};
 
 use crate::replicated::{ReplicaSummary, ReplicatedOutcome};
-use crate::runner::{ReusableStack, RunConfig, RunRecord};
+use crate::runner::{ReusableStack, RunConfig};
 use crate::voter::{StreamingVoter, VoteResult};
 
 /// Configuration for a [`ReplicaPool`].
@@ -133,7 +138,7 @@ pub struct VoteTiming {
     pub outstanding_at_verdict: usize,
     /// Submission → quorum verdict.
     pub verdict_latency: Duration,
-    /// Submission → all replicas done (images captured, job finalized).
+    /// Submission → all replicas done (stacks torn down, job finalized).
     pub full_latency: Duration,
 }
 
@@ -192,7 +197,7 @@ enum WorkerMsg {
         fault: Option<FaultSpec>,
         /// Malloc breakpoint for isolation replays (§3.4): halt at the
         /// detection clock so all images align at one logical time.
-        breakpoint: Option<xt_alloc::AllocTime>,
+        breakpoint: Option<AllocTime>,
         /// The patch table in effect for this job, captured at submit time
         /// so patch visibility is a function of submission order, not
         /// scheduling.
@@ -202,19 +207,29 @@ enum WorkerMsg {
 
 /// What workers send back.
 enum Event {
-    /// The workload returned; its output is ready for the voter. Sent
-    /// *before* heap-image capture.
+    /// The workload returned; its output is ready for the voter.
     Output {
         job: u64,
         worker: usize,
         output: Vec<u8>,
     },
-    /// Image captured, stack torn down, arena recycled.
+    /// Stack torn down, arena recycled.
     Done {
         job: u64,
         worker: usize,
-        record: Box<RunRecord>,
+        status: RunStatus,
+        /// The heap at the breakpoint: `Some` only for isolation replays.
+        image: Option<HeapImage>,
     },
+}
+
+/// The part of a finished run [`ReplicaPool::finalize`] reads.
+#[derive(Clone, Copy, Debug)]
+struct RunStatus {
+    completed: bool,
+    failed: bool,
+    signals: usize,
+    clock: AllocTime,
 }
 
 /// Heap seed for `worker` running `job` (job 0 reproduces the historical
@@ -237,7 +252,8 @@ struct JobState {
     patches: Arc<PatchTable>,
     voter: StreamingVoter,
     outputs: Vec<Option<Vec<u8>>>,
-    records: Vec<Option<Box<RunRecord>>>,
+    runs: Vec<Option<RunStatus>>,
+    images: Vec<Option<HeapImage>>,
     done: usize,
     verdict_at: Option<(Instant, usize)>,
 }
@@ -260,14 +276,15 @@ impl JobState {
             patches,
             voter: StreamingVoter::new(replicas),
             outputs: vec![None; replicas],
-            records: (0..replicas).map(|_| None).collect(),
+            runs: vec![None; replicas],
+            images: vec![None; replicas],
             done: 0,
             verdict_at: None,
         }
     }
 
     fn complete(&self) -> bool {
-        self.done == self.records.len()
+        self.done == self.runs.len()
     }
 }
 
@@ -378,10 +395,10 @@ impl<'scope> ReplicaPool<'scope> {
         }
     }
 
-    /// The pool's latency instruments — currently `pool/capture`, the
-    /// per-run heap-image capture stage (workers retain each run's image
-    /// as the base for incremental capture of the next, so this histogram
-    /// is where the dirty-page splicing shows up operationally).
+    /// The pool's latency instruments — currently `pool/capture`, one
+    /// sample per finished run timing its stack teardown. Only isolation
+    /// replays capture a heap image, so only their samples include image
+    /// capture.
     /// Observability only: nothing here feeds outcome bytes or
     /// deterministic digests.
     #[must_use]
@@ -637,11 +654,13 @@ impl<'scope> ReplicaPool<'scope> {
             Event::Done {
                 job,
                 worker,
-                record,
+                status,
+                image,
             } => {
                 let state = self.state_mut(job);
-                debug_assert!(state.records[worker].is_none(), "worker finished twice");
-                state.records[worker] = Some(record);
+                debug_assert!(state.runs[worker].is_none(), "worker finished twice");
+                state.runs[worker] = Some(status);
+                state.images[worker] = image;
                 state.done += 1;
             }
         }
@@ -655,14 +674,14 @@ impl<'scope> ReplicaPool<'scope> {
     }
 
     /// Turns a completed job into its outcome: full-set vote, per-replica
-    /// summaries, isolation over the images on any failure or divergence,
+    /// summaries, isolation over replayed images on any failure or divergence,
     /// and (optionally) auto-reload of the newly isolated patches.
-    fn finalize(&mut self, mut state: JobState) -> PoolOutcome {
+    fn finalize(&mut self, state: JobState) -> PoolOutcome {
         // xt-analyze: allow(time-source) -- full-completion latency observation; feeds VoteTiming only, never an outcome byte
         let full_at = Instant::now();
-        let records: Vec<Box<RunRecord>> = state
-            .records
-            .drain(..)
+        let runs: Vec<RunStatus> = state
+            .runs
+            .iter()
             .map(|r| r.expect("job complete"))
             .collect();
         let digest_vote = state.voter.final_vote();
@@ -675,15 +694,16 @@ impl<'scope> ReplicaPool<'scope> {
             dissenting: digest_vote.dissenting,
         };
 
-        let replicas: Vec<ReplicaSummary> = records
+        let replicas: Vec<ReplicaSummary> = runs
             .iter()
+            .zip(&state.outputs)
             .enumerate()
-            .map(|(i, r)| ReplicaSummary {
+            .map(|(i, (r, output))| ReplicaSummary {
                 seed: replica_seed(self.config.base_seed, i, state.seed_job),
-                completed: r.result.completed(),
-                failed: r.failed(),
-                signals: r.signals.len(),
-                output_len: r.result.output.len(),
+                completed: r.completed,
+                failed: r.failed,
+                signals: r.signals,
+                output_len: output.as_ref().expect("job complete").len(),
                 output_digest: state.voter.digest_of(i).expect("job complete"),
             })
             .collect();
@@ -698,7 +718,7 @@ impl<'scope> ReplicaPool<'scope> {
             // images would let replicas that kept running recycle the
             // corrupted slots (canary refill on free), erasing — and then
             // actively refuting — the evidence.
-            let images = self.aligned_images(&state, &records, &vote);
+            let images = self.aligned_images(&state, &runs, &vote);
             let report = isolate_with(&images, self.config.options).unwrap_or_default();
             let new_patches = report.to_patches();
             // Escalate rather than max: deferrals isolated while patches
@@ -734,22 +754,22 @@ impl<'scope> ReplicaPool<'scope> {
     /// replays the job with the same heap seed, stopped at the malloc
     /// breakpoint of the earliest failure (or the earliest dissenting
     /// replica's clock when corruption produced divergence without a
-    /// crash). Deterministic: the breakpoint derives from the records and
+    /// crash). Deterministic: the breakpoint derives from the runs and
     /// replays reuse the job's seeds, so the images are a pure function of
-    /// the job.
+    /// the job. These replays are the only pool runs that capture images.
     fn aligned_images(
         &mut self,
         state: &JobState,
-        records: &[Box<RunRecord>],
+        runs: &[RunStatus],
         vote: &VoteResult,
     ) -> Vec<HeapImage> {
-        let breakpoint = records
+        let breakpoint = runs
             .iter()
-            .filter(|r| r.failed())
+            .filter(|r| r.failed)
             .map(|r| r.clock)
             .min()
-            .or_else(|| vote.dissenting.iter().map(|&i| records[i].clock).min())
-            .or_else(|| records.iter().map(|r| r.clock).min())
+            .or_else(|| vote.dissenting.iter().map(|&i| runs[i].clock).min())
+            .or_else(|| runs.iter().map(|r| r.clock).min())
             .expect("a failed job has at least one replica");
         let replay = self.next_job;
         self.next_job += 1;
@@ -788,9 +808,9 @@ impl<'scope> ReplicaPool<'scope> {
             .expect("replay job in flight");
         let replay_state = self.inflight.remove(pos).expect("position just found");
         replay_state
-            .records
+            .images
             .into_iter()
-            .map(|r| r.expect("replay complete").image)
+            .map(|image| image.expect("replays capture their heap"))
             .collect()
     }
 }
@@ -851,9 +871,19 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
         let mut active = stack.start(config);
         // `&W` may be unsized; `&&W` is a Sized `Workload` via the blanket
         // reference impl, so it coerces to `&dyn Workload`.
-        let output = active.run(&workload, input.as_ref()).output.clone();
-        // Publish the output before paying for image capture: the voter
-        // can reach quorum while this worker (and stragglers) finish.
+        active.run(&workload, input.as_ref());
+        let capture_start = Instant::now();
+        // Only isolation replays need the heap (§3.4): a service run's
+        // image would never be read.
+        let (end, image) = active.teardown(|heap| breakpoint.map(|_| HeapImage::capture(heap)));
+        capture_hist.record_duration(capture_start.elapsed());
+        let status = RunStatus {
+            completed: end.result.completed(),
+            failed: end.failed(),
+            signals: end.signals.len(),
+            clock: end.clock,
+        };
+        let output = end.result.output;
         if events
             .send(Event::Output {
                 job,
@@ -861,19 +891,14 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
                 output,
             })
             .is_err()
-        {
-            return;
-        }
-        let capture_start = Instant::now();
-        let record = active.finish();
-        capture_hist.record_duration(capture_start.elapsed());
-        if events
-            .send(Event::Done {
-                job,
-                worker,
-                record: Box::new(record),
-            })
-            .is_err()
+            || events
+                .send(Event::Done {
+                    job,
+                    worker,
+                    status,
+                    image,
+                })
+                .is_err()
         {
             return;
         }
@@ -900,7 +925,7 @@ mod tests {
                 assert_eq!(out.outcome.replicas.len(), 3);
                 assert!(out.outcome.replicas.iter().all(|r| r.completed));
             }
-            // Every replica's finish() landed one capture-stage sample.
+            // Every replica's teardown landed one capture-stage sample.
             let snap = pool.observability().snapshot();
             assert_eq!(snap.histogram("pool/capture").unwrap().count(), 4 * 3);
             pool.shutdown();

@@ -70,14 +70,7 @@ impl RunRecord {
     /// runtime's own stop mechanism).
     #[must_use]
     pub fn failed(&self) -> bool {
-        if !self.signals.is_empty() {
-            return true;
-        }
-        match &self.result.outcome {
-            RunOutcome::Completed => false,
-            RunOutcome::Crashed(CrashKind::Breakpoint) => false,
-            RunOutcome::Crashed(_) => true,
-        }
+        run_failed(&self.signals, &self.result)
     }
 
     /// Whether the run was cut short by the malloc breakpoint.
@@ -90,26 +83,58 @@ impl RunRecord {
     }
 }
 
+/// What a run leaves behind once its stack is torn down: a [`RunRecord`]
+/// minus the heap image.
+#[derive(Debug)]
+pub(crate) struct RunEnd {
+    /// The workload's outcome and output.
+    pub result: RunResult,
+    /// DieFast error signals raised during the run.
+    pub signals: Vec<ErrorSignal>,
+    /// Full allocation history, when the configuration tracked it.
+    pub history: Option<ObjectLog>,
+    /// What the fault injector did.
+    pub injected: Vec<InjectedEvent>,
+    /// Final allocation clock.
+    pub clock: AllocTime,
+}
+
+impl RunEnd {
+    /// [`RunRecord::failed`] for a run that was not captured.
+    pub(crate) fn failed(&self) -> bool {
+        run_failed(&self.signals, &self.result)
+    }
+}
+
+fn run_failed(signals: &[ErrorSignal], result: &RunResult) -> bool {
+    if !signals.is_empty() {
+        return true;
+    }
+    match &result.outcome {
+        RunOutcome::Completed => false,
+        RunOutcome::Crashed(CrashKind::Breakpoint) => false,
+        RunOutcome::Crashed(_) => true,
+    }
+}
+
 /// A reusable execution engine: holds a recycled [`Arena`](xt_arena::Arena)
 /// across runs, so a long-lived worker (a [`pool`](crate::pool) replica, a
 /// fleet-simulator client) builds translation structures once and *resets*
 /// them between inputs instead of rebuilding them — the paper's replicas
 /// are persistent processes, and persistent processes do not pay process
-/// startup per request.
+/// startup per request. Nothing else survives a run: every run starts from
+/// a reset arena, so a reused stack is observationally a fresh one (the
+/// reused-vs-fresh determinism tests pin this).
 ///
 /// One-shot callers use [`execute`]; repeated callers keep one
-/// `ReusableStack` and call [`execute_reusable`] (or drive
-/// [`ReusableStack::start`] / [`ActiveRun::finish`] directly when they
-/// need to observe the run's output before the heap image is captured).
+/// `ReusableStack` and call [`execute_reusable`], or drive
+/// [`ReusableStack::start`] directly. [`ActiveRun::finish`] captures the
+/// heap image before recycling the arena; the pool's replicas end most runs
+/// without one — the paper's replicas dump their heaps only at a failure
+/// point (§3.4), so a run whose image nobody reads should not pay for it.
 #[derive(Debug, Default)]
 pub struct ReusableStack {
     arena: Option<xt_arena::Arena>,
-    /// The previous run's heap image, kept as the base for incremental
-    /// capture. [`Arena::reset`](xt_arena::Arena::reset) clears all dirty
-    /// state and remapping marks every fresh page, so diffing against the
-    /// base stays byte-identical to a full capture even across inputs —
-    /// the reused-vs-fresh determinism tests pin this.
-    base_image: Option<HeapImage>,
 }
 
 impl ReusableStack {
@@ -140,9 +165,7 @@ impl ReusableStack {
 }
 
 /// One run in flight over a [`ReusableStack`]. After [`ActiveRun::run`]
-/// the heap is still standing: the replicated mode's streaming voter reads
-/// the output here, *before* [`ActiveRun::finish`] captures the heap image
-/// — so a vote verdict never waits on image capture.
+/// the heap is still standing until the run is torn down.
 #[derive(Debug)]
 pub struct ActiveRun<'a> {
     home: &'a mut ReusableStack,
@@ -152,43 +175,55 @@ pub struct ActiveRun<'a> {
 
 impl ActiveRun<'_> {
     /// Executes the workload to completion (or crash) and returns its
-    /// result. The heap stays standing for [`ActiveRun::finish`].
+    /// result. The heap stays standing until the run is torn down.
     pub fn run(&mut self, workload: &dyn Workload, input: &WorkloadInput) -> &RunResult {
         let result = workload.run(&mut self.stack, input);
         self.result.insert(result)
     }
 
-    /// Captures the heap image, tears the stack down, and recycles the
-    /// arena back into the owning [`ReusableStack`].
+    /// Tears the stack down after one [`HeapImage::capture`] of the heap as
+    /// the run left it, and recycles the arena back into the owning
+    /// [`ReusableStack`].
     ///
     /// # Panics
     ///
     /// Panics if called before [`ActiveRun::run`].
     #[must_use]
     pub fn finish(self) -> RunRecord {
-        let result = self.result.expect("finish() requires a completed run()");
+        let (end, image) = self.teardown(HeapImage::capture);
+        RunRecord {
+            result: end.result,
+            signals: end.signals,
+            image,
+            history: end.history,
+            injected: end.injected,
+            clock: end.clock,
+        }
+    }
+
+    /// The one stack teardown: hands the still-standing heap to `capture`,
+    /// which may read nothing (`|_| ()`), then recycles the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`ActiveRun::run`].
+    pub(crate) fn teardown<T>(self, capture: impl FnOnce(&DieFastHeap) -> T) -> (RunEnd, T) {
+        let result = self.result.expect("teardown requires a completed run()");
         let injected = self.stack.events().to_vec();
-        let diefast = self.stack.into_inner().into_inner();
-        let image = match self.home.base_image.take() {
-            Some(base) => HeapImage::capture_incremental(&base, &diefast),
-            None => HeapImage::capture(&diefast),
-        };
-        // Cheap: slot data is `Arc`-shared, so the retained base costs one
-        // refcount per slot, not a byte copy.
-        self.home.base_image = Some(image.clone());
+        let mut diefast = self.stack.into_inner().into_inner();
+        let captured = capture(&diefast);
         let clock = diefast.inner().clock();
         let history = diefast.inner().history().cloned();
-        let mut diefast = diefast;
         let signals = diefast.take_signals();
         self.home.arena = Some(diefast.into_inner().into_arena());
-        RunRecord {
+        let end = RunEnd {
             result,
             signals,
-            image,
             history,
             injected,
             clock,
-        }
+        };
+        (end, captured)
     }
 }
 
@@ -346,14 +381,14 @@ mod tests {
         let fresh = execute(&EspressoLike::new(), &input, config());
         let mut stack = ReusableStack::new();
         // Pollute the stack with two unrelated prior runs (different seed,
-        // different workload input, no fault) before the run under test.
+        // different workload input, no fault) that end without a capture,
+        // as a pool replica's service runs do, before the captured run
+        // under test.
         for prior in 0..2 {
-            let _ = execute_reusable(
-                &EspressoLike::new(),
-                &WorkloadInput::with_seed(90 + prior),
-                RunConfig::with_seed(777 + prior),
-                &mut stack,
-            );
+            let mut active = stack.start(RunConfig::with_seed(777 + prior));
+            active.run(&EspressoLike::new(), &WorkloadInput::with_seed(90 + prior));
+            let (end, ()) = active.teardown(|_| ());
+            assert!(end.result.completed() && !end.failed());
         }
         let reused = execute_reusable(&EspressoLike::new(), &input, config(), &mut stack);
         assert_eq!(fresh, reused, "recycled arena leaked state into the run");

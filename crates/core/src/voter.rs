@@ -11,8 +11,8 @@
 //!   is folded into a per-replica 128-bit digest; the moment a *quorum* of
 //!   finished replicas share one digest the voter declares a
 //!   [`StreamVerdict`], so the pool can release the agreed output while
-//!   stragglers and crashed replicas are still finishing (their heap
-//!   images are still wanted for isolation). Once every replica finishes,
+//!   stragglers and crashed replicas are still finishing (their outputs
+//!   still count in the final vote). Once every replica finishes,
 //!   [`StreamingVoter::final_vote`] produces the same partition [`vote`]
 //!   would — scheduling can make the verdict *earlier*, never different.
 

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use exterminator::find_manifesting_fault;
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
 use exterminator::replicated::{run_replicated, ReplicatedConfig, ReplicatedOutcome};
 use exterminator::voter::output_digest;
@@ -123,6 +124,11 @@ fn one_shot_wrapper_matches_pool_job_zero() {
 /// comparison pins the *same* job index reached via different histories —
 /// a pool that ran 3 earlier inputs vs. a pool that ran 3 different
 /// earlier inputs.
+///
+/// A second, failing probe follows the clean one. Its isolation report is
+/// built from replay images, the only images the pool captures, so it pins
+/// that a history of uncaptured runs leaves those images unchanged: the
+/// report must match a fresh pool's for the same seed index.
 #[test]
 fn prior_inputs_do_not_leak_into_later_outcomes() {
     let workload = EspressoLike::new();
@@ -134,20 +140,61 @@ fn prior_inputs_do_not_leak_into_later_outcomes() {
         auto_patch: false, // histories must not differ in loaded patches
         ..PoolConfig::default()
     };
-    let outcome_after = |history: &[WorkloadInput]| {
+    let failing_probe = WorkloadInput::with_seed(8).intensity(3);
+    // The failing probe runs after the history and the clean probe.
+    let failing_seed_index = history_a.len() as u64 + 1;
+    let fresh_failing_outcome = |fault: FaultSpec| {
+        std::thread::scope(|scope| {
+            let mut pool = ReplicaPool::scoped(scope, &workload, config.clone(), PatchTable::new());
+            pool.submit_seeded(&failing_probe, Some(fault), failing_seed_index);
+            let out = pool.next_outcome().expect("job in flight").outcome;
+            pool.shutdown();
+            out
+        })
+    };
+    let (fault, fresh_failing) = (0..8u64)
+        .filter_map(|sel| {
+            find_manifesting_fault(
+                &workload,
+                &failing_probe,
+                FaultKind::BufferOverflow {
+                    delta: 20,
+                    fill: 0xEE,
+                },
+                100,
+                300,
+                20,
+                4,
+                5 + sel,
+            )
+        })
+        .map(|fault| (fault, fresh_failing_outcome(fault)))
+        .find(|(_, out)| out.report.is_some())
+        .expect("no manifesting fault reached isolation");
+    let outcomes_after = |history: &[WorkloadInput]| {
         std::thread::scope(|scope| {
             let mut pool = ReplicaPool::scoped(scope, &workload, config.clone(), PatchTable::new());
             for input in history {
                 let _ = pool.run_one(input, None);
             }
             let out = pool.run_one(&probe, None).outcome;
+            let failing = pool.run_one(&failing_probe, Some(fault)).outcome;
             pool.shutdown();
-            out
+            (out, failing)
         })
     };
+    let (clean_a, failing_a) = outcomes_after(&history_a);
+    let (clean_b, failing_b) = outcomes_after(&history_b);
     assert_eq!(
-        outcome_after(&history_a),
-        outcome_after(&history_b),
+        clean_a, clean_b,
         "earlier inputs leaked into a later job's outcome"
+    );
+    assert_eq!(
+        failing_a, failing_b,
+        "earlier inputs leaked into a later replay's isolation"
+    );
+    assert_eq!(
+        failing_a, fresh_failing,
+        "uncaptured runs changed the replay images isolation reads"
     );
 }

@@ -22,9 +22,9 @@
 //!
 //! # Incremental capture
 //!
-//! Replicated execution captures a heap image per replica per input, which
-//! makes capture the heaviest fixed cost the machinery pays. Against a
-//! previous image of the *same* heap, [`HeapImage::capture_incremental`]
+//! Capture can be the heaviest fixed cost the machinery pays, so the
+//! replica pool captures only on isolation replays. Against a previous
+//! image of the *same* heap, [`HeapImage::capture_incremental`]
 //! re-reads only slots on pages the arena's dirty-page bits say were
 //! stored to since that base was taken, and splices every other slot's
 //! bytes from the base by `Arc` reference — no copy, byte-identical result
