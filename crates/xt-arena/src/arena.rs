@@ -785,6 +785,21 @@ impl Arena {
         Some((Addr::new(region.base), &region.data))
     }
 
+    /// The id of the region containing `addr`, or `None` if `addr`'s page
+    /// is unmapped. This is the page table's own translation (one TLB
+    /// probe on a hit), so callers can key side tables by region in O(1).
+    ///
+    /// Ids are dense: a fresh arena (or one just [`reset`](Arena::reset))
+    /// hands out 0, 1, 2, … An id is stable while its region stays
+    /// mapped, and an unmapped region's id is handed to a later mapping
+    /// before any new id is minted. So a stale id says nothing about the
+    /// region now holding it.
+    #[must_use]
+    #[inline]
+    pub fn region_id(&self, addr: Addr) -> Option<usize> {
+        self.translate(addr).ok().map(|idx| idx as usize)
+    }
+
     /// Returns the base and length of the region containing `addr`.
     #[must_use]
     pub fn region_of(&self, addr: Addr) -> Option<(Addr, usize)> {

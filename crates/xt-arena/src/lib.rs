@@ -47,6 +47,25 @@
 //! regions, so measured allocator overheads reflect the algorithms under
 //! study (randomized probing, canary work), not the substrate.
 //!
+//! ## Region ids
+//!
+//! The page table maps pages to *region ids*, and [`Arena::region_id`]
+//! exposes that translation so a heap can resolve a pointer to its own
+//! per-region metadata with one TLB probe and one vector index. The
+//! contract:
+//!
+//! - **Dense.** A fresh or [`reset`](Arena::reset) arena hands out 0, 1,
+//!   2, … and never skips an id.
+//! - **Stable while mapped.** A region keeps its id until it is unmapped;
+//!   every address inside it (page-rounding tail included) answers that
+//!   id, and guard pages answer `None`.
+//! - **Reused after unmap.** An unmapped region's id is handed to a later
+//!   mapping before a new id is minted, so a table keyed by region id
+//!   stays as small as the peak number of live regions, and an id held
+//!   past its region's unmap may name a different region.
+//!
+//! `xt-arena/tests/properties.rs` pins all three.
+//!
 //! # Dirty tracking for incremental capture
 //!
 //! Each page-table leaf carries one **dirty bit per page**, the substrate

@@ -437,4 +437,64 @@ proptest! {
             );
         }
     }
+
+    /// `region_id` contract: every address of a live region (and only
+    /// those) resolves to that region's id; ids are dense, stable while
+    /// the region stays mapped, handed back out after unmap before any
+    /// new id is minted, and restart at 0 after `reset`.
+    #[test]
+    fn region_ids_are_dense_stable_and_reused(
+        seed in 0u64..10_000,
+        ops in proptest::collection::vec((0u8..10, 0usize..16, 1usize..3 * PAGE_SIZE), 1..120),
+    ) {
+        let mut arena = Arena::new();
+        let mut rng = Rng::new(seed);
+        // Live regions as (base, len, id), the freed ids, and the next
+        // never-used id.
+        let mut live: Vec<(Addr, usize, usize)> = Vec::new();
+        let mut freed: BTreeSet<usize> = BTreeSet::new();
+        let mut minted = 0usize;
+        for (kind, n, len) in ops {
+            match kind {
+                0..=5 => {
+                    let base = arena.map(len, &mut rng);
+                    let (_, len) = arena.region_of(base).expect("fresh mapping resolves");
+                    let id = arena.region_id(base).expect("fresh mapping has an id");
+                    if freed.is_empty() {
+                        prop_assert_eq!(id, minted, "a new id must be the next dense one");
+                        minted += 1;
+                    } else {
+                        prop_assert!(freed.remove(&id), "id {} minted while {:?} were free", id, freed);
+                    }
+                    live.push((base, len, id));
+                }
+                6..=8 => {
+                    if live.is_empty() { continue; }
+                    let (base, _, id) = live.swap_remove(n % live.len());
+                    arena.unmap(base).unwrap();
+                    prop_assert_eq!(arena.region_id(base), None);
+                    freed.insert(id);
+                }
+                _ => {
+                    arena.reset();
+                    live.clear();
+                    freed.clear();
+                    minted = 0;
+                }
+            }
+            let mut ids: Vec<usize> = live.iter().map(|&(_, _, id)| id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), live.len(), "two live regions share an id");
+            prop_assert!(ids.iter().all(|&id| id < minted), "ids are not dense");
+            for &(base, len, id) in &live {
+                let end = base + len as u64;
+                for addr in [base, base + len as u64 / 2, end - 1] {
+                    prop_assert_eq!(arena.region_id(addr), Some(id));
+                }
+                prop_assert_eq!(arena.region_id(end), None, "guard page after {}", base);
+                prop_assert_eq!(arena.region_id(base - 1), None, "guard page before {}", base);
+            }
+        }
+    }
 }

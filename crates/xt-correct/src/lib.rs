@@ -19,6 +19,13 @@
 //! — the cost is space (pad bytes, deferred *drag*), which
 //! [`CorrectionStats`] accounts for and §7.3 measures.
 //!
+//! With an empty patch table and nothing parked, `free` forwards straight
+//! to the inner heap without resolving the pointer's allocation site. This
+//! is not a separate mode: it is Fig. 6 itself with every table lookup
+//! answering 0, so outcomes, statistics and heap bytes are exactly those
+//! of the full path. It disengages the moment a table is loaded or a
+//! deferral parks a pointer.
+//!
 //! # Example
 //!
 //! ```
@@ -197,6 +204,11 @@ impl<H: Heap> Heap for CorrectingHeap<H> {
     /// `correcting_free` (Fig. 6): look up the (alloc site, free site)
     /// deferral; either free now or park the pointer until its due time.
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
+        if self.parked.is_empty() && self.patches.is_empty() {
+            // Every pad and deferral lookup below would answer 0 and no
+            // pointer can be parked: the full path reduces to this call.
+            return self.inner.free(ptr, site);
+        }
         if self.parked.contains(&ptr) {
             // The application freed an object whose release is already
             // scheduled; like any double free, this is benign.

@@ -182,11 +182,10 @@ impl Heap for DieFastHeap {
     /// `diefast_free` (Fig. 4): free, canary-check both physically adjacent
     /// slots, then probabilistically canary the freed object itself.
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
-        let outcome = self.inner.free(ptr, site);
-        if outcome != FreeOutcome::Freed {
+        let (outcome, loc) = self.inner.free_at(ptr, site);
+        let (FreeOutcome::Freed, Some(loc)) = (outcome, loc) else {
             return outcome;
-        }
-        let loc = self.inner.location_of(ptr).expect("freed address resolves");
+        };
         // "After every deallocation, DieFast checks both the preceding and
         // following objects" — if they are free, their canaries must be
         // intact; corruption here is the signature of an overflow from a

@@ -1,7 +1,5 @@
 //! The adaptive DieHard heap (paper §3.1–3.2, Fig. 2).
 
-use std::collections::BTreeMap;
-
 use xt_alloc::{AllocTime, FreeOutcome, Heap, HeapError, ObjectId, SiteHash};
 use xt_arena::{Addr, Arena, Rng};
 
@@ -29,6 +27,14 @@ pub struct SlotRef {
 }
 
 impl SlotRef {
+    fn new(miniheap: MiniHeapId, slot: usize) -> Self {
+        SlotRef {
+            class: miniheap.class,
+            miniheap: miniheap.index,
+            slot: slot as u32,
+        }
+    }
+
     /// Size-class index.
     #[must_use]
     pub fn class(self) -> usize {
@@ -74,7 +80,9 @@ pub struct DieHardHeap {
     rng: Rng,
     config: DieHardConfig,
     classes: Vec<ClassHeap>,
-    addr_index: BTreeMap<u64, (u32, u32)>,
+    /// The miniheap mapped as each arena region, indexed by
+    /// [`Arena::region_id`]; `None` for regions the heap did not map.
+    by_region: Vec<Option<MiniHeapId>>,
     clock: AllocTime,
     live_objects: usize,
     breakpoint: Option<AllocTime>,
@@ -106,7 +114,7 @@ impl DieHardHeap {
             history: config.track_history.then(ObjectLog::new),
             config,
             classes,
-            addr_index: BTreeMap::new(),
+            by_region: Vec::new(),
             clock: AllocTime::ZERO,
             live_objects: 0,
             breakpoint: None,
@@ -170,30 +178,26 @@ impl DieHardHeap {
     /// Resolves an exact object base address to its slot.
     #[must_use]
     pub fn location_of(&self, addr: Addr) -> Option<SlotRef> {
-        let (loc, mh) = self.lookup(addr)?;
-        mh.slot_of(addr).map(|slot| SlotRef {
-            class: loc.0,
-            miniheap: loc.1,
-            slot: slot as u32,
-        })
+        let (id, mh) = self.lookup(addr)?;
+        mh.slot_of(addr).map(|slot| SlotRef::new(id, slot))
     }
 
     /// Resolves any address inside a slot to that slot (interior pointers).
     #[must_use]
     pub fn location_containing(&self, addr: Addr) -> Option<SlotRef> {
-        let (loc, mh) = self.lookup(addr)?;
-        mh.slot_containing(addr).map(|slot| SlotRef {
-            class: loc.0,
-            miniheap: loc.1,
-            slot: slot as u32,
-        })
+        let (id, mh) = self.lookup(addr)?;
+        mh.slot_containing(addr).map(|slot| SlotRef::new(id, slot))
     }
 
-    fn lookup(&self, addr: Addr) -> Option<((u32, u32), &MiniHeap)> {
-        let (&base, &(class, mh_idx)) = self.addr_index.range(..=addr.get()).next_back()?;
-        let mh = &self.classes[class as usize].miniheaps[mh_idx as usize];
-        debug_assert_eq!(mh.base().get(), base);
-        (addr < mh.end()).then_some(((class, mh_idx), mh))
+    /// The miniheap whose arena region holds `addr`: one page-table
+    /// translation and one table index, whatever the number of
+    /// miniheaps. The caller's slot arithmetic rejects the page-rounding
+    /// tail past [`MiniHeap::end`].
+    #[inline]
+    fn lookup(&self, addr: Addr) -> Option<(MiniHeapId, &MiniHeap)> {
+        let id = (*self.by_region.get(self.arena.region_id(addr)?)?)?;
+        let mh = &self.classes[id.class as usize].miniheaps[id.index as usize];
+        Some((id, mh))
     }
 
     /// The miniheap owning `loc`.
@@ -242,6 +246,43 @@ impl DieHardHeap {
                 history.record_canaried(id);
             }
         }
+    }
+
+    /// `free`, also returning the slot `ptr` resolved to (`None` for an
+    /// invalid free), so a wrapping heap that works on the freed slot
+    /// need not resolve the pointer a second time.
+    pub fn free_at(&mut self, ptr: Addr, site: SiteHash) -> (FreeOutcome, Option<SlotRef>) {
+        let Some(loc) = self.location_of(ptr) else {
+            return (FreeOutcome::InvalidFreeIgnored, None);
+        };
+        let clock = self.clock;
+        let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
+        let meta = mh.meta_mut(loc.slot());
+        let outcome = match meta.state {
+            SlotState::Free | SlotState::Bad => FreeOutcome::DoubleFreeIgnored,
+            SlotState::Live => {
+                meta.state = SlotState::Free;
+                meta.free_site = site;
+                meta.free_time = clock;
+                meta.canaried = false;
+                let id = meta.object_id;
+                assert!(mh.bitmap_mut().clear(loc.slot()));
+                self.classes[loc.class()].occupied -= 1;
+                self.live_objects -= 1;
+                if let Some(history) = self.history.as_mut() {
+                    history.record_free(
+                        id,
+                        FreeRecord {
+                            free_site: site,
+                            free_time: clock,
+                            canaried: false,
+                        },
+                    );
+                }
+                FreeOutcome::Freed
+            }
+        };
+        (outcome, Some(loc))
     }
 
     /// Reserves a uniformly random free slot able to hold `size` bytes: the
@@ -407,7 +448,14 @@ impl DieHardHeap {
         let mh_idx = self.classes[class].miniheaps.len() as u32;
         let id = MiniHeapId::new(class as u32, mh_idx);
         let mh = MiniHeap::new(id, base, object_size, n_slots, self.clock);
-        self.addr_index.insert(base.get(), (class as u32, mh_idx));
+        let region = self
+            .arena
+            .region_id(base)
+            .expect("a fresh mapping resolves");
+        if region >= self.by_region.len() {
+            self.by_region.resize(region + 1, None);
+        }
+        self.by_region[region] = Some(id);
         let c = &mut self.classes[class];
         c.capacity += n_slots;
         c.miniheaps.push(mh);
@@ -463,36 +511,7 @@ impl Heap for DieHardHeap {
     }
 
     fn free(&mut self, ptr: Addr, site: SiteHash) -> FreeOutcome {
-        let Some(loc) = self.location_of(ptr) else {
-            return FreeOutcome::InvalidFreeIgnored;
-        };
-        let clock = self.clock;
-        let mh = &mut self.classes[loc.class()].miniheaps[loc.miniheap_index()];
-        let meta = mh.meta_mut(loc.slot());
-        match meta.state {
-            SlotState::Free | SlotState::Bad => FreeOutcome::DoubleFreeIgnored,
-            SlotState::Live => {
-                meta.state = SlotState::Free;
-                meta.free_site = site;
-                meta.free_time = clock;
-                meta.canaried = false;
-                let id = meta.object_id;
-                assert!(mh.bitmap_mut().clear(loc.slot()));
-                self.classes[loc.class()].occupied -= 1;
-                self.live_objects -= 1;
-                if let Some(history) = self.history.as_mut() {
-                    history.record_free(
-                        id,
-                        FreeRecord {
-                            free_site: site,
-                            free_time: clock,
-                            canaried: false,
-                        },
-                    );
-                }
-                FreeOutcome::Freed
-            }
-        }
+        self.free_at(ptr, site).0
     }
 
     fn arena(&self) -> &Arena {

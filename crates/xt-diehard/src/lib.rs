@@ -19,6 +19,20 @@
 //!   deallocation time and the canary bit are kept per slot, "below the
 //!   line" (Fig. 1), never inline where overflows could destroy them.
 //!
+//! # Pointer resolution
+//!
+//! Every miniheap is one arena region, so the heap keeps no address-ordered
+//! index of its own. A pointer resolves through the arena's TLB-backed
+//! page table: [`Arena::region_id`](xt_arena::Arena::region_id) names the
+//! region, a table indexed by region id (filled as miniheaps are mapped)
+//! names the miniheap, and slot arithmetic names the slot. That is O(1)
+//! whatever the number of miniheaps, and it is the only lookup structure:
+//! `location_of`, `location_containing`, `usable_size` and
+//! `alloc_site_of` all go through it. Regions mapped on the arena by
+//! anyone else resolve to no miniheap. [`DieHardHeap::free_at`] returns
+//! the slot a free resolved, so DieFast's free-time canary work does not
+//! resolve the pointer again.
+//!
 //! # Example
 //!
 //! ```

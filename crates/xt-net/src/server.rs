@@ -27,7 +27,12 @@
 //!   burst-degrades-to-waiting discipline of the front-end's bounded
 //!   queues. Epoch pushes to a client more than [`WRITE_QUEUE_HARD`]
 //!   behind are dropped (counted in `net/pushes_dropped`); such a
-//!   client still converges via [`Msg::EpochPull`].
+//!   client still converges via [`Msg::EpochPull`]. Text the server
+//!   builds is checked against the [`MAX_BLOB`] frame cap before it is
+//!   encoded: an over-cap epoch is neither pushed nor sent on pull
+//!   (the pull gets an [`Msg::Error`]; both count in
+//!   `net/epochs_oversized`), and an out-of-protocol client frame is
+//!   answered by its kind byte alone, never by its contents.
 //! * **A worker pool, so the poller never blocks.** Frame parsing and
 //!   cheap pulls (epoch/health/metrics) are answered on the poller
 //!   thread; [`Msg::Submit`] and [`Msg::Report`] — which block on
@@ -76,7 +81,7 @@ use xt_patch::PatchTable;
 use xt_poll::{Interest, Poller};
 use xt_workloads::Workload;
 
-use crate::proto::{Msg, SubmitJob, WireHealth, WireOutcome, WireReceipt, WireVerdict};
+use crate::proto::{Msg, SubmitJob, WireHealth, WireOutcome, WireReceipt, WireVerdict, MAX_BLOB};
 
 /// Upper bound on the poller's sleep, and the epoch watcher's backstop
 /// park; shutdown wakes both directly rather than waiting this out.
@@ -246,6 +251,9 @@ struct NetObs {
     /// Epoch pushes dropped at a connection over its hard write cap
     /// (`net/pushes_dropped`).
     pushes_dropped: Arc<Counter>,
+    /// Epoch pushes skipped and epoch pulls refused because the epoch
+    /// text exceeds [`MAX_BLOB`] (`net/epochs_oversized`).
+    epochs_oversized: Arc<Counter>,
     /// Live connections (`net/connections`).
     connections: Arc<Gauge>,
     /// Bytes sitting in per-connection write queues, summed
@@ -266,6 +274,7 @@ impl NetObs {
             frames_in: registry.counter("net/frames_in"),
             frames_out: registry.counter("net/frames_out"),
             pushes_dropped: registry.counter("net/pushes_dropped"),
+            epochs_oversized: registry.counter("net/epochs_oversized"),
             connections: registry.gauge("net/connections"),
             write_queue: registry.gauge("net/write_queue_bytes"),
             inflight: registry.gauge("net/inflight_jobs"),
@@ -466,7 +475,7 @@ impl NetFrontend {
     /// The wire layer's metrics registry (`net/wire_rtt`,
     /// `net/epoch_push`, `net/frames_in`, `net/frames_out`,
     /// `net/connections`, `net/write_queue_bytes`, `net/inflight_jobs`,
-    /// `net/pushes_dropped`). The *merged* cross-layer snapshot — this
+    /// `net/pushes_dropped`, `net/epochs_oversized`). The *merged* cross-layer snapshot — this
     /// plus the front-end's per-job histograms and the fleet's — is
     /// what [`Msg::MetricsPull`] returns over the wire; see
     /// [`NetFrontend::metrics_snapshot`] for the server-side subset.
@@ -580,7 +589,14 @@ fn serve<W: Workload + Sync>(
                 });
             }
             inner.spawn(|| {
-                epoch_watcher(backend.service(), &frontend, &mailbox, stop, &synced_epoch);
+                epoch_watcher(
+                    backend.service(),
+                    &frontend,
+                    &mailbox,
+                    stop,
+                    &synced_epoch,
+                    &obs.epochs_oversized,
+                );
             });
             // Runs on this thread; consumes `work_tx`, so the workers'
             // channel closes (and they drain and exit) when it returns.
@@ -707,6 +723,7 @@ fn epoch_watcher(
     mailbox: &Mailbox,
     stop: &AtomicBool,
     synced_epoch: &AtomicU64,
+    epochs_oversized: &Counter,
 ) {
     // A durable server may recover mid-history: treat the recovered
     // epoch as already-known (it is loaded into the pools at bind via
@@ -724,11 +741,14 @@ fn epoch_watcher(
         have = epoch.number;
         frontend.load_epoch(&epoch);
         synced_epoch.fetch_max(have, Ordering::AcqRel);
-        let bytes = Msg::EpochPush {
-            epoch: epoch.to_text(),
+        let text = epoch.to_text();
+        if text.len() > MAX_BLOB as usize {
+            // Too large for one frame: clients still reach it through
+            // their own pulls, which answer with an error naming why.
+            epochs_oversized.incr();
+            continue;
         }
-        .to_frame()
-        .encode();
+        let bytes = Msg::EpochPush { epoch: text }.to_frame().encode();
         mailbox.post(Notice::Broadcast {
             bytes,
             published: Instant::now(),
@@ -1040,7 +1060,20 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
         Ok(Msg::EpochPull { have }) => {
             let latest = ctx.backend.service().latest();
             let epoch = (latest.number > have).then(|| latest.to_text());
-            reply(c, &Msg::Epoch { epoch }, ctx.obs);
+            let msg = match epoch {
+                Some(text) if text.len() > MAX_BLOB as usize => {
+                    ctx.obs.epochs_oversized.incr();
+                    Msg::Error {
+                        message: format!(
+                            "epoch {} is {} bytes, over the {MAX_BLOB}-byte wire cap",
+                            latest.number,
+                            text.len()
+                        ),
+                    }
+                }
+                epoch => Msg::Epoch { epoch },
+            };
+            reply(c, &msg, ctx.obs);
             ctx.obs.wire_rtt.record_duration(at.elapsed());
         }
         Ok(Msg::HealthPull) => {
@@ -1070,14 +1103,15 @@ fn dispatch_frame(c: &mut Conn, token: usize, frame: &Frame, ctx: &Ctx<'_, '_>) 
             reply(c, &Msg::Metrics(snap), ctx.obs);
             ctx.obs.wire_rtt.record_duration(at.elapsed());
         }
-        Ok(other) => {
+        Ok(_) => {
             // A server-to-client message arriving at the server is a
-            // protocol violation; name it, flush, and close.
+            // protocol violation; name its kind (never its contents,
+            // which the client sized), flush, and close.
             ctx.counters.rejected.fetch_add(1, Ordering::Relaxed);
             reply(
                 c,
                 &Msg::Error {
-                    message: format!("unexpected client message: {other:?}"),
+                    message: format!("unexpected client message: kind {}", frame.kind),
                 },
                 ctx.obs,
             );
