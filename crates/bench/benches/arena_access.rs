@@ -18,10 +18,7 @@ use std::collections::BTreeMap;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bench::{bench_artifact_path, write_bench_json, BenchRecord};
-use xt_alloc::{Heap as _, SiteHash};
 use xt_arena::{Addr, Arena, Rng, PAGE_SIZE};
-use xt_diefast::{DieFastConfig, DieFastHeap};
-use xt_image::HeapImage;
 
 /// Accesses per benchmark iteration (so ns/op can be recovered from the
 /// per-iteration medians).
@@ -341,80 +338,6 @@ fn capture_gather(c: &mut Criterion) {
     group.finish();
 }
 
-/// Live objects in the incremental-capture case. 1 KiB objects keep the
-/// slot-data bytes (what dirty-page splicing avoids re-reading) dominant
-/// over per-slot metadata, the regime real heap images live in.
-const INC_OBJECTS: usize = 1024;
-
-/// Objects stored to between captures in the sparse-touch workload — the
-/// steady state of continuous capture, where an input touches a small
-/// working set of a large heap.
-const INC_TOUCHED: usize = 16;
-
-/// Full vs incremental heap-image capture under a sparse-touch workload:
-/// each iteration stores to [`INC_TOUCHED`] of [`INC_OBJECTS`] live
-/// objects and captures the heap. The full series re-reads every slot;
-/// the incremental series diffs against the previous capture via the
-/// arena's dirty-page bits and splices untouched slots by `Arc` clone.
-/// The per-op unit is one whole-heap capture.
-fn capture_incremental(c: &mut Criterion) {
-    let build = || {
-        let mut heap = DieFastHeap::new(DieFastConfig::with_seed(0xCAFE));
-        let objects: Vec<Addr> = (0..INC_OBJECTS)
-            .map(|i| {
-                let p = heap
-                    .malloc(1024, SiteHash::from_raw(i as u32 % 17))
-                    .expect("bench heap allocates");
-                heap.arena_mut().write_u64(p, i as u64).unwrap();
-                p
-            })
-            .collect();
-        (heap, objects)
-    };
-    let touch = |heap: &mut DieFastHeap, objects: &[Addr], round: u64| {
-        for k in 0..INC_TOUCHED as u64 {
-            let p = objects[((round * 31 + k * 61) as usize) % objects.len()];
-            heap.arena_mut().write_u64(p + 8 * k, round ^ k).unwrap();
-        }
-    };
-    let mut group = c.benchmark_group("arena_access");
-    {
-        let (mut heap, objects) = build();
-        let mut round = 0u64;
-        group.bench_with_input(
-            BenchmarkId::new("incremental_capture", "full"),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    round += 1;
-                    touch(&mut heap, &objects, round);
-                    std::hint::black_box(HeapImage::capture(&heap))
-                });
-            },
-        );
-    }
-    {
-        let (mut heap, objects) = build();
-        let mut round = 0u64;
-        // Rolling base, exactly how a pool replica uses it: each capture
-        // becomes the baseline the next one diffs against.
-        let mut base = HeapImage::capture(&heap);
-        group.bench_with_input(
-            BenchmarkId::new("incremental_capture", "incremental"),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    round += 1;
-                    touch(&mut heap, &objects, round);
-                    base = HeapImage::capture_incremental(&base, &heap);
-                    std::hint::black_box(base.slots().count())
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Converts the recorded per-iteration minima (the least-noise statistic
 /// under a loaded machine) into ns/op records plus speedups and writes
 /// `BENCH_arena.json` at the workspace root.
@@ -425,8 +348,6 @@ fn emit_json(c: &mut Criterion) {
     let ns_per_op = |case: &str, imp: &str| -> Option<f64> {
         let per_iter = match case {
             "bulk_fill" | "bulk_compare" | "image_capture" => REGIONS as f64,
-            // One whole-heap capture per iteration.
-            "incremental_capture" => 1.0,
             _ => OPS as f64,
         };
         let id = format!("arena_access/{case}/{imp}");
@@ -439,7 +360,6 @@ fn emit_json(c: &mut Criterion) {
     let mut pairs: Vec<(&str, &str, &str)> =
         CASES.iter().map(|&c| (c, "btree", "page_table")).collect();
     pairs.push(("image_capture", "per_slot", "snapshot"));
-    pairs.push(("incremental_capture", "full", "incremental"));
     for (case, old, new) in pairs {
         let (Some(before), Some(after)) = (ns_per_op(case, old), ns_per_op(case, new)) else {
             continue;
@@ -460,11 +380,5 @@ fn emit_json(c: &mut Criterion) {
     println!("wrote {}", path.display());
 }
 
-criterion_group!(
-    benches,
-    arena_access,
-    capture_gather,
-    capture_incremental,
-    emit_json
-);
+criterion_group!(benches, arena_access, capture_gather, emit_json);
 criterion_main!(benches);

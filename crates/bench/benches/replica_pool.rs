@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{bench_artifact_path, write_bench_json, BenchRecord};
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
-use exterminator::replicated::{run_replicated, ReplicatedConfig};
+use exterminator::replicated::run_replicated;
 use xt_patch::PatchTable;
 use xt_workloads::{server_session, SquidLike, WorkloadInput};
 
@@ -54,9 +54,9 @@ fn batch_throughput(c: &mut Criterion) {
     // Spawn-per-call baseline: the pre-pool `run_replicated` shape — a
     // fresh replica set (threads + allocator stacks + page tables) per
     // input.
-    let config = ReplicatedConfig {
+    let config = PoolConfig {
         replicas: REPLICAS,
-        ..ReplicatedConfig::default()
+        ..PoolConfig::default()
     };
     group.bench_function("batch32_spawn_per_call", |b| {
         b.iter(|| {

@@ -10,9 +10,8 @@
 //!
 //! * **K pools, one front door.** The front-end owns `pools` independent
 //!   [`ReplicaPool`]s, each driven by its own thread inside its own worker
-//!   scope. Submissions are routed pool-per-shard by input hash
-//!   ([`RouteBy::InputHash`] — affinity for repeated inputs) or spread
-//!   round-robin ([`RouteBy::RoundRobin`], the default).
+//!   scope. Submissions are spread over the pools round-robin in global
+//!   submission order.
 //! * **Bounded queues, real backpressure.** Each pool sits behind a
 //!   bounded MPMC job queue. [`PoolFrontend::submit`] blocks while the
 //!   target queue is full, so a burst of clients cannot grow the in-flight
@@ -59,7 +58,7 @@ use std::time::Instant;
 use xt_faults::FaultSpec;
 use xt_obs::{Histogram, Registry};
 use xt_patch::{PatchEpoch, PatchTable};
-use xt_workloads::{fnv1a, Workload, WorkloadInput};
+use xt_workloads::{Workload, WorkloadInput};
 
 use crate::pool::{EarlyVerdict, PoolConfig, PoolOutcome, ReplicaPool};
 
@@ -82,8 +81,6 @@ pub struct FrontendConfig {
     /// what was broadcast); shallow enough to bound the work lost on
     /// shutdown.
     pub max_inflight: usize,
-    /// How submissions pick a pool.
-    pub route: RouteBy,
     /// Fan patches isolated by one pool's failures out to the sibling
     /// pools (via the shared table every driver syncs before submitting).
     /// Requires `pool.auto_patch`; disable for measurement runs that must
@@ -98,21 +95,9 @@ impl Default for FrontendConfig {
             pool: PoolConfig::default(),
             queue_capacity: 64,
             max_inflight: 32,
-            route: RouteBy::RoundRobin,
             share_isolated: true,
         }
     }
-}
-
-/// Submission routing policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteBy {
-    /// Spread submissions over pools in global submission order.
-    RoundRobin,
-    /// Shard by a hash of the input (seed, intensity, payload): repeated
-    /// inputs land on the same pool, like connection affinity in a
-    /// sharded server.
-    InputHash,
 }
 
 /// Aggregate front-end counters (all monotone; read via
@@ -464,7 +449,6 @@ impl Shared {
 pub struct PoolFrontend<'scope> {
     shared: Arc<Shared>,
     drivers: Vec<ScopedJoinHandle<'scope, ()>>,
-    route: RouteBy,
     next_seq: AtomicU64,
 }
 
@@ -526,7 +510,6 @@ impl<'scope> PoolFrontend<'scope> {
         PoolFrontend {
             shared,
             drivers,
-            route: config.route,
             next_seq: AtomicU64::new(0),
         }
     }
@@ -609,16 +592,13 @@ impl<'scope> PoolFrontend<'scope> {
         true
     }
 
-    /// Routes one input to its pool and enqueues it, blocking while that
-    /// pool's queue is full (backpressure). Returns the job's ticket;
-    /// callers overlap their own work with the replicas and collect via
-    /// the ticket.
+    /// Routes one input to its pool (round-robin in submission order) and
+    /// enqueues it, blocking while that pool's queue is full
+    /// (backpressure). Returns the job's ticket; callers overlap their own
+    /// work with the replicas and collect via the ticket.
     pub fn submit(&self, input: &WorkloadInput, fault: Option<FaultSpec>) -> JobTicket {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let target = match self.route {
-            RouteBy::RoundRobin => (seq % self.shared.queues.len() as u64) as usize,
-            RouteBy::InputHash => input_shard(input, self.shared.queues.len()),
-        };
+        let target = (seq % self.shared.queues.len() as u64) as usize;
         let slot = Arc::new(TicketSlot::new());
         // Counted before the job becomes visible to a driver, so readers
         // of the aggregate stats never observe completed > submitted.
@@ -688,15 +668,6 @@ impl Drop for PoolFrontend<'_> {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-/// Shard selection for [`RouteBy::InputHash`]: FNV-1a over the input's
-/// identity, spread by multiply-shift.
-fn input_shard(input: &WorkloadInput, pools: usize) -> usize {
-    let mut h = fnv1a(0, &input.seed.to_le_bytes());
-    h = fnv1a(h, &input.intensity.to_le_bytes());
-    h = fnv1a(h, &input.payload);
-    (((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9) >> 32) as usize) % pools
 }
 
 /// One driver thread: owns one [`ReplicaPool`] and marshals between the
@@ -999,17 +970,6 @@ mod tests {
             assert_eq!(ticket.wait().outcome, outcome.outcome);
             frontend.shutdown();
         });
-    }
-
-    #[test]
-    fn input_hash_routing_is_stable_and_in_range() {
-        let a = WorkloadInput::with_seed(1).payload(b"abc".to_vec());
-        let b = WorkloadInput::with_seed(2);
-        for pools in 1..5 {
-            assert_eq!(input_shard(&a, pools), input_shard(&a, pools));
-            assert!(input_shard(&a, pools) < pools);
-            assert!(input_shard(&b, pools) < pools);
-        }
     }
 
     /// Driver death must not hang waiting submitters: tickets fail fast.

@@ -59,10 +59,10 @@ pub use cumulative::{
     summarized_run, summarized_run_reusable, CumulativeMode, CumulativeModeConfig,
     CumulativeOutcome, SummarizedRun,
 };
-pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend, RouteBy};
+pub use frontend::{FrontendConfig, FrontendStats, JobTicket, PoolFrontend};
 pub use iterative::{FailureKind, IterativeConfig, IterativeMode, IterativeOutcome, RoundReport};
 pub use pool::{EarlyVerdict, PoolConfig, PoolOutcome, ReplicaPool, Straggler, VoteTiming};
-pub use replicated::{run_replicated, ReplicaSummary, ReplicatedConfig, ReplicatedOutcome};
+pub use replicated::{run_replicated, ReplicaSummary, ReplicatedOutcome};
 pub use runner::{
     execute, execute_reusable, find_manifesting_fault, ReusableStack, RunConfig, RunRecord,
 };

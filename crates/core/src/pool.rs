@@ -87,14 +87,6 @@ pub struct PoolConfig {
     pub diefast: DieFastConfig,
     /// Isolation tuning.
     pub options: IsolateOptions,
-    /// Stop a replica at its first DieFast signal, so its heap image is
-    /// captured *at detection time* — the paper's signal-handler dump
-    /// (§3). Without this, continuing execution can reallocate the
-    /// corrupted slot and destroy the canary evidence isolation needs;
-    /// with it, a failing replica behaves like a crashing process whose
-    /// core is dumped on the spot, while healthy replicas still run to
-    /// completion and out-vote it.
-    pub halt_on_signal: bool,
     /// Fold patches isolated from this pool's own failures back into the
     /// live table, so later submissions run corrected (§6.1's deployment
     /// loop). Disable for measurement runs that must keep re-observing the
@@ -113,7 +105,6 @@ impl Default for PoolConfig {
             base_seed: 0x2E11_11CA,
             diefast: DieFastConfig::with_seed(0),
             options: IsolateOptions::default(),
-            halt_on_signal: true,
             auto_patch: true,
             straggler: None,
         }
@@ -361,7 +352,6 @@ impl<'scope> ReplicaPool<'scope> {
             let event_tx = event_tx.clone();
             let base_seed = config.base_seed;
             let diefast = config.diefast.clone();
-            let halt_on_signal = config.halt_on_signal;
             let delay = config
                 .straggler
                 .filter(|s| s.replica == worker)
@@ -373,7 +363,6 @@ impl<'scope> ReplicaPool<'scope> {
                     worker,
                     base_seed,
                     &diefast,
-                    halt_on_signal,
                     delay,
                     &rx,
                     &event_tx,
@@ -837,7 +826,6 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
     worker: usize,
     base_seed: u64,
     diefast: &DieFastConfig,
-    halt_on_signal: bool,
     straggle: Option<Duration>,
     rx: &Receiver<WorkerMsg>,
     events: &Sender<Event>,
@@ -865,8 +853,12 @@ fn worker_loop<W: Workload + Sync + ?Sized>(
             patches: (*patches).clone(),
             fault,
             breakpoint,
-            // Replays stop at the malloc breakpoint instead (§3.4).
-            halt_on_signal: halt_on_signal && breakpoint.is_none(),
+            // A service run stops at its first DieFast signal, so a failing
+            // replica's evidence is not overwritten by later reallocation —
+            // the paper's signal-handler dump (§3) — while healthy replicas
+            // run to completion and out-vote it. Replays stop at the malloc
+            // breakpoint instead (§3.4).
+            halt_on_signal: breakpoint.is_none(),
         };
         let mut active = stack.start(config);
         // `&W` may be unsized; `&&W` is a Sized `Workload` via the blanket

@@ -12,54 +12,13 @@
 //! inputs, streaming vote verdicts, fleet patch-epoch hot reloads — should
 //! hold a pool directly; see [`crate::pool`].
 
-use xt_diefast::DieFastConfig;
 use xt_faults::FaultSpec;
-use xt_isolate::iterative::IsolateOptions;
 use xt_isolate::IsolationReport;
 use xt_patch::PatchTable;
 use xt_workloads::{Workload, WorkloadInput};
 
 use crate::pool::{PoolConfig, ReplicaPool};
 use crate::voter::VoteResult;
-
-/// Configuration for one replicated execution.
-#[derive(Clone, Debug)]
-pub struct ReplicatedConfig {
-    /// Number of replicas (the paper's experiments use 3).
-    pub replicas: usize,
-    /// Base seed; replica `i` randomizes its heap with a seed derived
-    /// from it.
-    pub base_seed: u64,
-    /// DieFast configuration shared by all replicas (`p = 1`).
-    pub diefast: DieFastConfig,
-    /// Isolation tuning.
-    pub options: IsolateOptions,
-}
-
-impl Default for ReplicatedConfig {
-    fn default() -> Self {
-        ReplicatedConfig {
-            replicas: 3,
-            base_seed: 0x2E11_11CA,
-            diefast: DieFastConfig::with_seed(0),
-            options: IsolateOptions::default(),
-        }
-    }
-}
-
-impl ReplicatedConfig {
-    /// The pool configuration equivalent to this one-shot configuration.
-    #[must_use]
-    pub fn to_pool_config(&self) -> PoolConfig {
-        PoolConfig {
-            replicas: self.replicas,
-            base_seed: self.base_seed,
-            diefast: self.diefast.clone(),
-            options: self.options,
-            ..PoolConfig::default()
-        }
-    }
-}
 
 /// Per-replica digest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,11 +154,10 @@ pub fn run_replicated<W: Workload + Sync + ?Sized>(
     input: &WorkloadInput,
     fault: Option<FaultSpec>,
     patches: &PatchTable,
-    config: &ReplicatedConfig,
+    config: &PoolConfig,
 ) -> ReplicatedOutcome {
     std::thread::scope(|scope| {
-        let mut pool =
-            ReplicaPool::scoped(scope, workload, config.to_pool_config(), patches.clone());
+        let mut pool = ReplicaPool::scoped(scope, workload, config.clone(), patches.clone());
         let outcome = pool.run_one(input, fault).outcome;
         pool.shutdown();
         outcome
@@ -220,7 +178,7 @@ mod tests {
             &WorkloadInput::with_seed(3),
             None,
             &PatchTable::new(),
-            &ReplicatedConfig::default(),
+            &PoolConfig::default(),
         );
         assert!(outcome.vote.unanimous(), "replicas diverged on clean run");
         assert!(!outcome.error_observed());
@@ -322,9 +280,9 @@ mod tests {
                 &input,
                 Some(fault),
                 &PatchTable::new(),
-                &ReplicatedConfig {
+                &PoolConfig {
                     replicas: 6,
-                    ..ReplicatedConfig::default()
+                    ..PoolConfig::default()
                 },
             );
             if !outcome.error_observed() {
@@ -343,10 +301,10 @@ mod tests {
                     &input,
                     Some(fault),
                     &patches,
-                    &ReplicatedConfig {
+                    &PoolConfig {
                         replicas: 6,
                         base_seed: 0x5EED_0002 + round,
-                        ..ReplicatedConfig::default()
+                        ..PoolConfig::default()
                     },
                 );
                 if !next.error_observed() {
@@ -388,9 +346,9 @@ mod tests {
             &input,
             Some(fault),
             &PatchTable::new(),
-            &ReplicatedConfig {
+            &PoolConfig {
                 replicas: 5,
-                ..ReplicatedConfig::default()
+                ..PoolConfig::default()
             },
         );
         assert_eq!(outcome.replicas.len(), 5);

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use exterminator::find_manifesting_fault;
 use exterminator::pool::{PoolConfig, ReplicaPool, Straggler};
-use exterminator::replicated::{run_replicated, ReplicatedConfig, ReplicatedOutcome};
+use exterminator::replicated::{run_replicated, ReplicatedOutcome};
 use exterminator::voter::output_digest;
 use xt_alloc::AllocTime;
 use xt_faults::{FaultKind, FaultSpec};
@@ -104,14 +104,13 @@ fn straggler_scheduling_does_not_change_outcomes() {
 fn one_shot_wrapper_matches_pool_job_zero() {
     let workload = SquidLike::new();
     let input = WorkloadInput::with_seed(4).payload(xt_workloads::benign_requests(6));
-    let config = ReplicatedConfig {
+    let config = PoolConfig {
         replicas: 4,
-        ..ReplicatedConfig::default()
+        ..PoolConfig::default()
     };
     let one_shot = run_replicated(&workload, &input, None, &PatchTable::new(), &config);
     let pooled = std::thread::scope(|scope| {
-        let mut pool =
-            ReplicaPool::scoped(scope, &workload, config.to_pool_config(), PatchTable::new());
+        let mut pool = ReplicaPool::scoped(scope, &workload, config.clone(), PatchTable::new());
         let outcome = pool.run_one(&input, None).outcome;
         pool.shutdown();
         outcome

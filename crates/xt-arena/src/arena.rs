@@ -48,12 +48,6 @@ const PLACEMENT_ATTEMPTS: usize = 4096;
 /// set of simultaneously mapped chunks).
 const SPARE_LEAF_CAP: usize = 1024;
 
-/// `u64` words in one leaf's dirty bitmap (one bit per page).
-const DIRTY_WORDS: usize = CHUNK_PAGES / 64;
-
-/// Dirty-cache tag for "no page cached".
-const NO_DIRTY_PAGE: u64 = u64::MAX;
-
 #[derive(Debug)]
 struct Region {
     base: u64,
@@ -65,14 +59,6 @@ struct Leaf {
     entries: Box<[u32; CHUNK_PAGES]>,
     /// Count of mapped entries, so empty leaves can be reclaimed.
     mapped: usize,
-    /// One dirty bit per page, set on every store into the page and cleared
-    /// by [`Arena::clear_dirty`] (capture) or implicitly when the leaf dies
-    /// ([`Arena::reset`], [`Arena::unmap`] clearing the page's bit). `Cell`
-    /// because capture observes the arena through `&self`. The bitmap lives
-    /// with the `Leaf`, not in the spare-entries pool, so a recycled leaf
-    /// always starts with a clean bitmap — spare-leaf reuse cannot leak
-    /// another cycle's dirty bits.
-    dirty: [Cell<u64>; DIRTY_WORDS],
 }
 
 impl Leaf {
@@ -81,28 +67,7 @@ impl Leaf {
     }
 
     fn with_entries(entries: Box<[u32; CHUNK_PAGES]>) -> Self {
-        Leaf {
-            entries,
-            mapped: 0,
-            dirty: std::array::from_fn(|_| Cell::new(0)),
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&self, bit: usize) {
-        let word = &self.dirty[bit >> 6];
-        word.set(word.get() | 1 << (bit & 63));
-    }
-
-    #[inline]
-    fn is_dirty(&self, bit: usize) -> bool {
-        self.dirty[bit >> 6].get() & (1 << (bit & 63)) != 0
-    }
-
-    #[inline]
-    fn clear_dirty_bit(&self, bit: usize) {
-        let word = &self.dirty[bit >> 6];
-        word.set(word.get() & !(1 << (bit & 63)));
+        Leaf { entries, mapped: 0 }
     }
 }
 
@@ -188,11 +153,6 @@ pub struct Arena {
     /// pool and the directory without copying the 2 KiB table.
     #[allow(clippy::vec_box)]
     spare_leaves: Vec<Box<[u32; CHUNK_PAGES]>>,
-    /// Last page marked dirty, so a run of stores into one page (the
-    /// overwhelmingly common pattern) pays the directory walk once.
-    /// Invalidated whenever a page's dirty bit may have been cleared
-    /// (`clear_dirty`, `unmap`, `reset`).
-    last_dirty_page: Cell<u64>,
 }
 
 impl Default for Arena {
@@ -213,7 +173,6 @@ impl Arena {
             tlb: std::array::from_fn(|_| Cell::new((INVALID_PAGE, 0))),
             total_mapped: 0,
             spare_leaves: Vec::new(),
-            last_dirty_page: Cell::new(NO_DIRTY_PAGE),
         }
     }
 
@@ -244,9 +203,6 @@ impl Arena {
         for entry in &self.tlb {
             entry.set((INVALID_PAGE, 0));
         }
-        // Dirty bitmaps died with their leaves (only the entries boxes are
-        // pooled); a reset arena reports no dirty pages.
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
     }
 
     /// Maps a zero-filled region of at least `len` bytes at a random
@@ -331,7 +287,6 @@ impl Arena {
                 .get_mut(&chunk)
                 .expect("mapped page has a leaf table");
             leaf.entries[page as usize & (CHUNK_PAGES - 1)] = NO_REGION;
-            leaf.clear_dirty_bit(page as usize & (CHUNK_PAGES - 1));
             leaf.mapped -= 1;
             if leaf.mapped == 0 {
                 // Every entry is NO_REGION again: retire the leaf's table
@@ -349,8 +304,6 @@ impl Arena {
                 entry.set((INVALID_PAGE, 0));
             }
         }
-        // The dirty-page cache may name a page whose bit was just cleared.
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
         self.free_ids.push(idx);
         Ok(())
     }
@@ -390,10 +343,6 @@ impl Arena {
             );
             leaf.entries[page as usize & (CHUNK_PAGES - 1)] = idx;
             leaf.mapped += 1;
-            // Mapping zero-fills the page — that store dirties it. This also
-            // closes the unmap-then-remap hole: a page reused at the same
-            // address can never be spliced from a stale base image.
-            leaf.mark_dirty(page as usize & (CHUNK_PAGES - 1));
         }
     }
 
@@ -469,107 +418,14 @@ impl Arena {
     }
 
     /// Translates and bounds-checks a write access, returning the owning
-    /// region mutably and the byte offset within it. This is the single
-    /// funnel every store path goes through (`write_bytes` and hence
-    /// `write_u8/u32/u64/addr`, `fill`, `fill_pattern_u32`), so marking
-    /// dirty pages here covers them all — bulk paths included. Marking
-    /// happens only after translation *and* bounds check succeed: a
-    /// faulting store modifies nothing and therefore dirties nothing.
+    /// region mutably and the byte offset within it.
     #[inline]
     fn locate_mut(&mut self, addr: Addr, len: usize) -> Result<(&mut Region, usize), MemFault> {
-        let idx = self.translate(addr)?;
-        let off = Self::bounds_check(self.region(idx), addr, len)?;
-        self.mark_dirty(addr, len);
+        let (idx, off) = self.locate(addr, len)?;
         let region = self.slab[idx as usize]
             .as_mut()
             .expect("page table referenced a live region");
         Ok((region, off))
-    }
-
-    /// Sets the dirty bit of every page overlapping `[addr, addr + len)`.
-    /// The caller has already proven the range mapped and in-bounds.
-    #[inline]
-    fn mark_dirty(&self, addr: Addr, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr.get() >> PAGE_SHIFT;
-        let last = (addr.get() + (len as u64 - 1)) >> PAGE_SHIFT;
-        if first == last && first == self.last_dirty_page.get() {
-            return;
-        }
-        for page in first..=last {
-            let leaf = self
-                .directory
-                .get(&(page >> CHUNK_SHIFT))
-                .expect("dirtied page has a leaf table");
-            leaf.mark_dirty(page as usize & (CHUNK_PAGES - 1));
-        }
-        self.last_dirty_page.set(last);
-    }
-
-    /// Clears every dirty bit, making the current contents the baseline the
-    /// next [`Arena::region_dirty_pages`] answers are relative to. Heap-image
-    /// capture calls this after reading the heap, so dirty bits always mean
-    /// "stored to since the last capture". Interior mutability (`&self`)
-    /// because capture observes the heap immutably.
-    pub fn clear_dirty(&self) {
-        for leaf in self.directory.values() {
-            for word in &leaf.dirty {
-                word.set(0);
-            }
-        }
-        self.last_dirty_page.set(NO_DIRTY_PAGE);
-    }
-
-    /// Per-page dirty flags for the region containing `addr`, as
-    /// `(region base, one flag per page in address order)`, or `None` if
-    /// `addr` is unmapped. A `true` flag means the page has been stored to
-    /// (or freshly mapped) since the last [`Arena::clear_dirty`].
-    #[must_use]
-    pub fn region_dirty_pages(&self, addr: Addr) -> Option<(Addr, Vec<bool>)> {
-        let idx = self.lookup_page(addr.get() >> PAGE_SHIFT)?;
-        let region = self.region(idx);
-        let first_page = region.base >> PAGE_SHIFT;
-        let n_pages = region.data.len() / PAGE_SIZE;
-        let flags = (first_page..first_page + n_pages as u64)
-            .map(|page| {
-                self.directory
-                    .get(&(page >> CHUNK_SHIFT))
-                    .expect("mapped page has a leaf table")
-                    .is_dirty(page as usize & (CHUNK_PAGES - 1))
-            })
-            .collect();
-        Some((Addr::new(region.base), flags))
-    }
-
-    /// Base addresses of every dirty page, in address order. Dirty bits are
-    /// only ever set on mapped pages and cleared when their page unmaps, so
-    /// every returned address is currently mapped. Intended for tests and
-    /// diagnostics; capture uses [`Arena::region_dirty_pages`] per region.
-    #[must_use]
-    pub fn dirty_pages(&self) -> Vec<Addr> {
-        let mut pages: Vec<Addr> = self
-            .directory
-            .iter()
-            .flat_map(|(&chunk, leaf)| {
-                (0..CHUNK_PAGES).filter_map(move |bit| {
-                    if leaf.is_dirty(bit) {
-                        debug_assert_ne!(
-                            leaf.entries[bit], NO_REGION,
-                            "dirty bit on unmapped page"
-                        );
-                        Some(Addr::new(
-                            ((chunk << CHUNK_SHIFT) + bit as u64) << PAGE_SHIFT,
-                        ))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
-        pages.sort_unstable();
-        pages
     }
 
     /// Translates `addr` and bounds-checks an access of `len` bytes.
@@ -825,6 +681,18 @@ impl Arena {
     #[must_use]
     pub fn mapped_bytes(&self) -> usize {
         self.total_mapped
+    }
+
+    /// Base addresses of every mapped page, in address order. Mapping
+    /// zero-fills a page, so every mapped page has been written since it
+    /// was mapped: the set a whole-heap image has to copy.
+    #[must_use]
+    pub fn dirty_pages(&self) -> Vec<Addr> {
+        self.regions()
+            .flat_map(|(base, len)| {
+                (0..(len / PAGE_SIZE) as u64).map(move |page| base + page * PAGE_SIZE as u64)
+            })
+            .collect()
     }
 }
 
@@ -1139,8 +1007,8 @@ mod tests {
         assert_eq!(arena.read_u64(b).unwrap(), 2);
     }
 
-    /// Freshly mapped pages are dirty (mapping zero-fills them), and
-    /// `clear_dirty` establishes a clean baseline.
+    /// Mapping lists a region's pages in `dirty_pages` (mapping
+    /// zero-fills them).
     #[test]
     fn mapping_dirties_and_clear_establishes_baseline() {
         let (arena, base) = arena_with_region(3 * PAGE_SIZE);
@@ -1148,59 +1016,45 @@ mod tests {
             arena.dirty_pages(),
             vec![base, base + PAGE_SIZE as u64, base + 2 * PAGE_SIZE as u64]
         );
-        arena.clear_dirty();
-        assert!(arena.dirty_pages().is_empty());
-        let (b, flags) = arena.region_dirty_pages(base + 5000).unwrap();
-        assert_eq!(b, base);
-        assert_eq!(flags, vec![false, false, false]);
     }
 
-    /// Every store path marks exactly the pages it touches; reads mark none.
+    /// No access changes `dirty_pages`: it lists mapped pages, whatever
+    /// was stored to them.
     #[test]
     fn stores_mark_their_pages() {
         let (mut arena, base) = arena_with_region(4 * PAGE_SIZE);
-        arena.clear_dirty();
+        let all = arena.dirty_pages();
+        assert_eq!(all.len(), 4);
         arena.read_u64(base + 100).unwrap();
-        assert!(arena.dirty_pages().is_empty(), "reads must not dirty");
         arena.write_u8(base + 10, 1).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base]);
-        // A store crossing a page boundary marks both pages.
+        // A store crossing a page boundary.
         arena.write_u64(base + PAGE_SIZE as u64 * 2 - 4, 7).unwrap();
-        let (_, flags) = arena.region_dirty_pages(base).unwrap();
-        assert_eq!(flags, vec![true, true, true, false]);
-        // Bulk fill over the last two pages.
-        arena.clear_dirty();
         arena
             .fill_pattern_u32(base + 2 * PAGE_SIZE as u64 + 8, PAGE_SIZE + 16, 0xAB)
             .unwrap();
-        let (_, flags) = arena.region_dirty_pages(base).unwrap();
-        assert_eq!(flags, vec![false, false, true, true]);
-        // A faulting store dirties nothing.
-        arena.clear_dirty();
         assert!(arena
             .write_bytes(base + 4 * PAGE_SIZE as u64 - 2, &[0; 8])
             .is_err());
-        assert!(arena.dirty_pages().is_empty());
+        assert_eq!(arena.dirty_pages(), all);
     }
 
-    /// Unmapping clears a region's dirty bits; remapping at the same spot
-    /// re-dirties, so stale clean-page assumptions can't survive reuse.
+    /// Unmapping drops a region's pages; remapping at the same spot lists
+    /// them again.
     #[test]
     fn unmap_clears_and_remap_redirties() {
         let mut arena = Arena::new();
         let base = Addr::new(0x1000_0000);
         arena.map_at(base, 2 * PAGE_SIZE).unwrap();
-        arena.clear_dirty();
         arena.write_u8(base, 9).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base]);
+        assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
         arena.unmap(base).unwrap();
         assert!(arena.dirty_pages().is_empty());
         arena.map_at(base, 2 * PAGE_SIZE).unwrap();
         assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
     }
 
-    /// A reset (reused) arena reports no stale dirty pages even though its
-    /// leaf tables are recycled through the spare pool.
+    /// A reset (reused) arena reports no stale pages even though its leaf
+    /// tables are recycled through the spare pool.
     #[test]
     fn reset_leaves_no_stale_dirty_pages() {
         let mut arena = Arena::new();
@@ -1209,31 +1063,23 @@ mod tests {
             let b = arena.map(2 * PAGE_SIZE, &mut rng);
             arena.write_u64(b + 100, 1).unwrap();
         }
-        assert!(!arena.dirty_pages().is_empty());
+        assert_eq!(arena.dirty_pages().len(), 16);
         arena.reset();
         assert!(arena.dirty_pages().is_empty());
-        // Recycled leaves start clean: only the freshly mapped pages of the
-        // next cycle are dirty.
+        // Recycled leaves start empty: only the next cycle's mapping shows.
         let b = arena.map(PAGE_SIZE, &mut rng);
         assert_eq!(arena.dirty_pages(), vec![b]);
     }
 
-    /// The single-page dirty cache never suppresses a mark it shouldn't:
-    /// alternating stores across pages and a clear in between stay exact.
+    /// Stores alternating across two pages leave both listed, once each.
     #[test]
     fn dirty_cache_stays_coherent() {
         let (mut arena, base) = arena_with_region(2 * PAGE_SIZE);
-        arena.clear_dirty();
         for _ in 0..10 {
             arena.write_u8(base + 1, 1).unwrap();
             arena.write_u8(base + PAGE_SIZE as u64 + 1, 2).unwrap();
         }
         assert_eq!(arena.dirty_pages(), vec![base, base + PAGE_SIZE as u64]);
-        arena.clear_dirty();
-        // The cache was invalidated by clear_dirty: the next store to the
-        // same page must mark again.
-        arena.write_u8(base + PAGE_SIZE as u64 + 1, 3).unwrap();
-        assert_eq!(arena.dirty_pages(), vec![base + PAGE_SIZE as u64]);
     }
 
     /// Interleaved map/unmap/access across many regions: every read sees

@@ -66,32 +66,6 @@
 //!
 //! `xt-arena/tests/properties.rs` pins all three.
 //!
-//! # Dirty tracking for incremental capture
-//!
-//! Each page-table leaf carries one **dirty bit per page**, the substrate
-//! for `xt-image`'s incremental heap capture. The protocol:
-//!
-//! - **Set** — every successful store (`write_u8/u32/u64/addr`,
-//!   `write_bytes`, `fill`, `fill_pattern_u32`; they all funnel through one
-//!   internal locate step) marks the pages it touches, and `map`/`map_at`
-//!   mark freshly mapped pages (the zero-fill is a store — and this is what
-//!   keeps an unmap-then-remap at the same address from ever looking
-//!   clean). Faulting stores modify nothing and mark nothing.
-//! - **Clear** — [`Arena::clear_dirty`] (called by capture once it has read
-//!   the heap, via `&self` interior mutability) zeroes every bit, making
-//!   the captured contents the new baseline; [`Arena::unmap`] clears the
-//!   dead pages' bits; [`Arena::reset`] drops every leaf, so a reused
-//!   replica arena starts with no dirty pages at all.
-//! - **Query** — [`Arena::region_dirty_pages`] answers capture's per-region
-//!   question ("which pages changed since the baseline?");
-//!   [`Arena::dirty_pages`] enumerates all dirty pages for tests.
-//!
-//! The TLB is unaffected: it caches translations, not write state, so
-//! dirty clears need no shootdown. Spare-leaf recycling (`reset` pools the
-//! 2 KiB entry tables) cannot leak dirty bits because the bitmap lives in
-//! the leaf struct, not in the pooled allocation — a recycled leaf always
-//! starts clean.
-//!
 //! # Example
 //!
 //! ```

@@ -6,9 +6,7 @@
 //! driven in lockstep through random map/unmap/access interleavings, and
 //! every result — data read, fault classification (`Unmapped` vs
 //! `OutOfBounds`), all-or-nothing writes, guard-page faults — must agree.
-//! The model also tracks the set of dirty pages (stored-to since the last
-//! `clear_dirty`), pinning the arena's dirty bitmap to the obvious
-//! semantics incremental heap capture depends on.
+//! `Arena::dirty_pages` must list exactly the model's mapped pages.
 
 use std::collections::BTreeSet;
 
@@ -16,12 +14,10 @@ use proptest::prelude::*;
 
 use xt_arena::{Addr, Arena, MemFault, Rng, PAGE_SIZE};
 
-/// The reference semantics: a flat list of regions, searched linearly,
-/// plus the set of dirty page addresses.
+/// The reference semantics: a flat list of regions, searched linearly.
 #[derive(Default)]
 struct ModelArena {
     regions: Vec<(u64, Vec<u8>)>,
-    dirty: BTreeSet<u64>,
 }
 
 /// What the model says an access should observe.
@@ -35,34 +31,27 @@ enum ModelAccess {
 impl ModelArena {
     fn map(&mut self, base: Addr, len: usize) {
         self.regions.push((base.get(), vec![0u8; len]));
-        // Mapping zero-fills: the fresh pages are dirty.
-        self.mark_dirty(base.get(), len);
     }
 
     fn unmap(&mut self, base: Addr) -> bool {
         let Some(pos) = self.regions.iter().position(|&(b, _)| b == base.get()) else {
             return false;
         };
-        let (b, data) = self.regions.swap_remove(pos);
-        for page in 0..data.len() / PAGE_SIZE {
-            self.dirty.remove(&(b + (page * PAGE_SIZE) as u64));
-        }
+        self.regions.swap_remove(pos);
         true
     }
 
-    fn mark_dirty(&mut self, addr: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / PAGE_SIZE as u64;
-        let last = (addr + len as u64 - 1) / PAGE_SIZE as u64;
-        for page in first..=last {
-            self.dirty.insert(page * PAGE_SIZE as u64);
-        }
-    }
-
-    fn dirty_pages(&self) -> Vec<Addr> {
-        self.dirty.iter().map(|&p| Addr::new(p)).collect()
+    /// Every mapped page's base address, in address order.
+    fn mapped_pages(&self) -> Vec<Addr> {
+        let mut pages: Vec<Addr> = self
+            .regions
+            .iter()
+            .flat_map(|&(base, ref data)| {
+                (0..data.len() / PAGE_SIZE).map(move |p| Addr::new(base + (p * PAGE_SIZE) as u64))
+            })
+            .collect();
+        pages.sort_unstable();
+        pages
     }
 
     fn classify(&self, addr: Addr, len: usize) -> ModelAccess {
@@ -89,8 +78,6 @@ impl ModelArena {
                     data[off..off + bytes.len()].copy_from_slice(bytes);
                 }
             }
-            // Only a successful store dirties its pages.
-            self.mark_dirty(addr.get(), bytes.len());
         }
         verdict
     }
@@ -137,10 +124,8 @@ enum ArenaOp {
     Read(usize, usize, usize),
     /// Read at an absolute (mostly unmapped) address.
     ReadAbs(u64, usize),
-    /// Bulk-fill relative to the nth region's base (dirties like a store).
+    /// Bulk-fill relative to the nth region's base.
     Fill(usize, usize, u8, usize),
-    /// Clear every dirty bit (what a heap-image capture does).
-    ClearDirty,
 }
 
 fn arena_op() -> impl Strategy<Value = ArenaOp> {
@@ -159,7 +144,6 @@ fn arena_op() -> impl Strategy<Value = ArenaOp> {
             1usize..2 * PAGE_SIZE
         )
             .prop_map(|(n, off, fill, len)| ArenaOp::Fill(n, off, fill, len)),
-        Just(ArenaOp::ClearDirty),
     ]
 }
 
@@ -317,10 +301,6 @@ proptest! {
                     let want = model.write(addr, &vec![fill; len]);
                     prop_assert_eq!(got, want);
                 }
-                ArenaOp::ClearDirty => {
-                    arena.clear_dirty();
-                    model.dirty.clear();
-                }
             }
             // Continuous full-state equivalence: every region's bytes match
             // the model byte-for-byte (this is what makes faulting writes
@@ -334,16 +314,14 @@ proptest! {
                 );
             }
             prop_assert_eq!(arena.regions().count(), bases.len());
-            // The dirty-page set matches the model's after every op: reads
-            // never dirty, stores (scalar and bulk) and fresh mappings do,
-            // unmap and clear_dirty erase, faulting accesses change nothing.
-            prop_assert_eq!(arena.dirty_pages(), model.dirty_pages());
+            // `dirty_pages` is every mapped page: mapping adds a region's
+            // pages, unmapping removes them, and accesses change nothing.
+            prop_assert_eq!(arena.dirty_pages(), model.mapped_pages());
         }
     }
 
-    /// Bulk store paths dirty exactly the pages an equivalent run of
-    /// per-byte stores dirties, and `reset` leaves a reused arena with no
-    /// stale dirty pages.
+    /// Bulk and per-byte stores alike leave `dirty_pages` listing every
+    /// mapped page, and `reset` leaves a reused arena with no stale pages.
     #[test]
     fn bulk_stores_dirty_like_scalar_stores(
         off in 0usize..3 * PAGE_SIZE,
@@ -358,8 +336,6 @@ proptest! {
         let mut scalar = Arena::new();
         bulk.map_at(base, total).unwrap();
         scalar.map_at(base, total).unwrap();
-        bulk.clear_dirty();
-        scalar.clear_dirty();
         let addr = base + off as u64;
         match which {
             0 => bulk.fill(addr, len, 0xAA).unwrap(),
@@ -369,15 +345,13 @@ proptest! {
         for i in 0..len {
             scalar.write_u8(addr + i as u64, 1).unwrap();
         }
-        prop_assert_eq!(bulk.dirty_pages(), scalar.dirty_pages());
-        // Reset clears all dirty state; the reused arena reports only what
-        // the next cycle actually dirties.
+        let mapped: Vec<Addr> = (0..4).map(|p| base + (p * PAGE_SIZE) as u64).collect();
+        prop_assert_eq!(bulk.dirty_pages(), mapped.clone());
+        prop_assert_eq!(scalar.dirty_pages(), mapped);
         bulk.reset();
-        prop_assert!(bulk.dirty_pages().is_empty());
+        prop_assert!(bulk.dirty_pages().is_empty(), "stale pages on a reused arena");
         bulk.map_at(base, PAGE_SIZE).unwrap();
         prop_assert_eq!(bulk.dirty_pages(), vec![base]);
-        bulk.clear_dirty();
-        prop_assert!(bulk.dirty_pages().is_empty(), "stale dirty pages on a reused arena");
     }
 
     /// Guard pages: the page on either side of any mapping is unmapped, so

@@ -465,9 +465,9 @@ impl FleetSnapshot {
         })
     }
 
-    /// FNV-1a 128 digest of the canonical encoding — the same constants
-    /// as `core::voter`'s outcome digest, so "byte-identical state" means
-    /// one `u128` comparison. Volatile delivery counters (`duplicates`,
+    /// Digest of the canonical encoding — `core::voter`'s outcome digest
+    /// (FNV-1a 128), so "byte-identical state" means one `u128`
+    /// comparison. Volatile delivery counters (`duplicates`,
     /// `rejected_reports`) are zeroed before hashing: a crash between a
     /// WAL append and its acknowledgment legitimately turns the retried
     /// report into a counted duplicate, which must not make otherwise
@@ -479,18 +479,11 @@ impl FleetSnapshot {
             rejected_reports: 0,
             ..self.clone()
         };
-        const FNV_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
         // States too large to snapshot still digest.
         let bytes = canonical
             .encode_capped(false)
             .expect("no in-memory collection holds 2^32 entries");
-        let mut h = FNV_BASIS;
-        for &b in &bytes {
-            h ^= u128::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        exterminator::voter::output_digest(&bytes)
     }
 }
 

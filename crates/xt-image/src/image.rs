@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use xt_alloc::{AllocTime, Heap, ObjectId, SiteHash};
-use xt_arena::{Addr, PAGE_SIZE};
+use xt_arena::Addr;
 use xt_diefast::DieFastHeap;
 use xt_diehard::{MiniHeapId, SlotState};
 
@@ -47,10 +47,9 @@ pub struct SlotImage {
     pub ever_used: bool,
     /// Bytes the occupant requested.
     pub requested: u32,
-    /// The slot's full contents (object-size bytes). Shared (`Arc`) so
-    /// incremental capture can splice an unchanged slot from the base
-    /// image by reference count instead of copying it — equality still
-    /// compares contents.
+    /// The slot's full contents (object-size bytes). Shared (`Arc`), so
+    /// cloning an image does not copy slot bytes; equality compares
+    /// contents.
     pub data: Arc<[u8]>,
 }
 
@@ -222,11 +221,8 @@ impl PartialEq for HeapImage {
 }
 
 impl HeapImage {
-    /// Captures the complete state of a DieFast heap.
-    ///
-    /// Clears the arena's dirty-page bits: the returned image is the
-    /// baseline future [`HeapImage::capture_incremental`] calls diff
-    /// against.
+    /// Captures the complete state of a DieFast heap. Reads only: the
+    /// heap and its arena are left exactly as they were.
     ///
     /// # Panics
     ///
@@ -245,53 +241,8 @@ impl HeapImage {
     /// memory the arena does not back — corrupted allocator metadata
     /// surfaces here as a diagnosable error, not a panic.
     pub fn try_capture(heap: &DieFastHeap) -> Result<Self, CaptureError> {
-        Self::capture_impl(heap, None)
-    }
-
-    /// Captures the heap by re-reading only slots on pages stored to since
-    /// `base` was captured, splicing every other slot's bytes from `base`
-    /// by reference (no copy). Byte-identical to a full
-    /// [`HeapImage::capture`] of the same heap — the property tests pin
-    /// this — but on a sparse-touch heap it costs a fraction of one.
-    ///
-    /// Slot *metadata* is always re-read (allocator state changes without
-    /// touching slot memory); only the data bytes are spliced, and only
-    /// when the base describes the same miniheap (same id, base, geometry,
-    /// creation time). A miniheap the base does not know is captured in
-    /// full, so any base — even an empty one — is correct, just slower.
-    ///
-    /// Clears the arena's dirty-page bits: the returned image becomes the
-    /// next baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed heap state (see
-    /// [`HeapImage::try_capture_incremental`] for the fallible form).
-    #[must_use]
-    pub fn capture_incremental(base: &HeapImage, heap: &DieFastHeap) -> Self {
-        Self::try_capture_incremental(base, heap)
-            .unwrap_or_else(|e| panic!("incremental heap capture failed: {e}"))
-    }
-
-    /// Fallible form of [`HeapImage::capture_incremental`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CaptureError`] if a miniheap's recorded geometry names
-    /// memory the arena does not back.
-    pub fn try_capture_incremental(
-        base: &HeapImage,
-        heap: &DieFastHeap,
-    ) -> Result<Self, CaptureError> {
-        Self::capture_impl(heap, Some(base))
-    }
-
-    fn capture_impl(heap: &DieFastHeap, base: Option<&HeapImage>) -> Result<Self, CaptureError> {
         let inner = heap.inner();
         let arena = heap.arena();
-        let base_by_id: HashMap<MiniHeapId, &MiniHeapImage> = base
-            .map(|b| b.miniheaps.iter().map(|m| (m.id, m)).collect())
-            .unwrap_or_default();
         let mut miniheaps = Vec::new();
         for mh in inner.miniheaps() {
             // One translation for the whole miniheap: snapshot its backing
@@ -304,50 +255,22 @@ impl HeapImage {
                         id: mh.id(),
                         base: mh.base(),
                     })?;
-            // Splice from the base image only if it describes this exact
-            // miniheap; geometry drift (different base, size, or creation
-            // time) falls back to a full re-read of every slot.
-            let base_mh = base_by_id.get(&mh.id()).copied().filter(|b| {
-                b.base == mh.base()
-                    && b.object_size as usize == mh.object_size()
-                    && b.created_at == mh.created_at()
-                    && b.slots.len() == mh.n_slots()
-            });
-            let dirty = base_mh.map(|_| {
-                let (dirty_base, flags) = arena
-                    .region_dirty_pages(mh.base())
-                    .expect("snapshotted region is mapped");
-                debug_assert_eq!(dirty_base, region_base);
-                flags
-            });
             let first = (mh.base() - region_base) as usize;
             let mut slots = Vec::with_capacity(mh.n_slots());
             for idx in 0..mh.n_slots() {
                 let meta = mh.meta(idx);
                 let off = first + idx * mh.object_size();
                 let end = off + mh.object_size();
-                // A slot whose pages are all clean since the base capture
-                // has byte-identical contents: share the base's buffer.
-                // Out-of-range pages count as dirty so a truncated region
-                // falls through to the checked slice (and its error) below.
-                let clean = match (&dirty, base_mh) {
-                    (Some(flags), Some(_)) => (off / PAGE_SIZE..=(end - 1) / PAGE_SIZE)
-                        .all(|p| flags.get(p).is_some_and(|&d| !d)),
-                    _ => false,
-                };
-                let data = match (clean, base_mh) {
-                    (true, Some(b)) => Arc::clone(&b.slots[idx].data),
-                    _ => region
-                        .get(off..end)
-                        .ok_or(CaptureError::TruncatedRegion {
-                            id: mh.id(),
-                            base: mh.base(),
-                            slot: idx,
-                            needed: end,
-                            region_len: region.len(),
-                        })?
-                        .into(),
-                };
+                let data = region
+                    .get(off..end)
+                    .ok_or(CaptureError::TruncatedRegion {
+                        id: mh.id(),
+                        base: mh.base(),
+                        slot: idx,
+                        needed: end,
+                        region_len: region.len(),
+                    })?
+                    .into();
                 slots.push(SlotImage {
                     state: meta.state,
                     object_id: meta.object_id,
@@ -369,8 +292,6 @@ impl HeapImage {
                 slots,
             });
         }
-        // Every capture — full or incremental — is the next diff baseline.
-        arena.clear_dirty();
         Ok(Self::assemble(
             heap.clock(),
             heap.canary(),
@@ -895,59 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_capture_equals_full_and_shares_clean_slots() {
-        let mut h = heap_with_activity(20);
-        let base = HeapImage::capture(&h); // clears dirty bits
-                                           // Touch exactly one live object's memory.
-        let r = base.find_object(ObjectId::from_raw(2)).unwrap();
-        let addr = base.slot_addr(r);
-        h.arena_mut().write_u64(addr, 0xFEED).unwrap();
-        let inc = HeapImage::capture_incremental(&base, &h);
-        let full = HeapImage::capture(&h);
-        assert_eq!(inc, full);
-        // The touched slot was re-read...
-        assert_eq!(&inc.slot(r).data[..8], &0xFEEDu64.to_le_bytes());
-        // ...while a slot on an untouched page shares the base's buffer
-        // (same allocation, not a copy).
-        let shared = inc
-            .slots()
-            .zip(base.slots())
-            .filter(|((ri, si), (rb, sb))| ri == rb && Arc::ptr_eq(&si.data, &sb.data))
-            .count();
-        assert!(
-            shared > inc.total_slots() / 2,
-            "sparse touch must splice most slots by reference ({shared} of {})",
-            inc.total_slots()
-        );
-    }
-
-    #[test]
-    fn incremental_capture_resets_its_baseline() {
-        let mut h = heap_with_activity(21);
-        let base = HeapImage::capture(&h);
-        let r = base.find_object(ObjectId::from_raw(3)).unwrap();
-        let addr = base.slot_addr(r);
-        h.arena_mut().write_u64(addr, 1).unwrap();
-        let second = HeapImage::capture_incremental(&base, &h);
-        // The second image is the new baseline: with no stores since, a
-        // third incremental capture matches a full one and splices all.
-        let third = HeapImage::capture_incremental(&second, &h);
-        assert_eq!(third, HeapImage::capture(&h));
-        assert_eq!(&third.slot(r).data[..8], &1u64.to_le_bytes());
-    }
-
-    #[test]
-    fn incremental_capture_against_foreign_base_is_a_full_capture() {
-        let mut h = heap_with_activity(22);
-        // A base from a *different* heap shares no miniheap geometry.
-        let foreign = HeapImage::capture(&heap_with_activity(23));
-        let p = h.malloc(64, SITE).unwrap();
-        h.arena_mut().write_u64(p, 42).unwrap();
-        let inc = HeapImage::capture_incremental(&foreign, &h);
-        assert_eq!(inc, HeapImage::capture(&h));
-    }
-
-    #[test]
     fn try_capture_reports_unmapped_miniheap() {
         let mut h = heap_with_activity(24);
         let victim = h.inner().miniheaps().next().unwrap();
@@ -955,12 +823,6 @@ mod tests {
         h.arena_mut().unmap(base).unwrap();
         assert_eq!(
             HeapImage::try_capture(&h).unwrap_err(),
-            CaptureError::UnmappedMiniHeap { id, base }
-        );
-        // The incremental path reports the same malformation.
-        let empty_base = HeapImage::capture(&heap_with_activity(25));
-        assert_eq!(
-            HeapImage::try_capture_incremental(&empty_base, &h).unwrap_err(),
             CaptureError::UnmappedMiniHeap { id, base }
         );
     }

@@ -20,30 +20,13 @@
 //! * a compact binary serialization (images replace core dumps, so they
 //!   must be writable to disk and shippable).
 //!
-//! # Incremental capture
+//! # When images are taken
 //!
-//! Capture can be the heaviest fixed cost the machinery pays, so the
-//! replica pool captures only on isolation replays. Against a previous
-//! image of the *same* heap, [`HeapImage::capture_incremental`]
-//! re-reads only slots on pages the arena's dirty-page bits say were
-//! stored to since that base was taken, and splices every other slot's
-//! bytes from the base by `Arc` reference — no copy, byte-identical result
-//! (property-tested against full capture).
-//!
-//! The protocol between the two layers:
-//!
-//! * the **arena** sets a page's dirty bit on every successful store into
-//!   it (bulk fills included) and on mapping it; `Arena::reset` and
-//!   unmapping clear bits, so reused replica arenas never carry stale
-//!   dirty state (see `xt-arena`'s crate docs for the full set/clear
-//!   rules, TLB non-interaction, and spare-leaf recycling);
-//! * **every capture** — [`HeapImage::capture`] and
-//!   [`HeapImage::capture_incremental`] alike — clears the dirty bits on
-//!   its way out, making the image it returns the baseline the next
-//!   incremental capture diffs against;
-//! * slot *metadata* is never spliced: allocator state can change without
-//!   touching slot memory, so it is re-read from the allocator on every
-//!   capture. Only the data bytes ride the dirty bits.
+//! Like the paper's core-dump analogy, an image is taken only at a failure
+//! point: the replica pool captures on isolation replays, never after an
+//! ordinary run. [`HeapImage::capture`] copies every slot of every
+//! miniheap and only reads the heap, so taking an image changes nothing
+//! the program can observe.
 //!
 //! Malformed heap state (metadata naming memory the arena does not back)
 //! surfaces as a [`CaptureError`] through the `try_` variants instead of a

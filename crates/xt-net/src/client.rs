@@ -596,7 +596,9 @@ impl NetTicket {
     ///
     /// # Errors
     ///
-    /// Transport or decode failure, or an out-of-protocol frame.
+    /// Transport or decode failure, an out-of-protocol frame, or
+    /// [`NetError::Remote`] when the server refuses the outcome in its
+    /// place (its patch table does not fit one frame).
     pub fn wait(mut self) -> Result<WireOutcome, NetError> {
         let arc = self.conn.take().expect("ticket not yet consumed");
         let mut conn = lock_conn(&arc);
@@ -608,10 +610,17 @@ impl NetTicket {
                 return Ok(outcome);
             }
             let msg = conn.read_msg()?;
-            if let Some(reply) = conn.buffer_or_return(msg) {
-                return Err(NetError::Protocol(format!(
-                    "unexpected reply while waiting for an outcome: {reply:?}"
-                )));
+            match conn.buffer_or_return(msg) {
+                None => {}
+                Some(Msg::Error { message }) => {
+                    conn.verdicts.remove(&self.job);
+                    return Err(NetError::Remote(message));
+                }
+                Some(reply) => {
+                    return Err(NetError::Protocol(format!(
+                        "unexpected reply while waiting for an outcome: {reply:?}"
+                    )))
+                }
             }
         }
     }

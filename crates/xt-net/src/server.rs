@@ -31,7 +31,9 @@
 //!   builds is checked against the [`MAX_BLOB`] frame cap before it is
 //!   encoded: an over-cap epoch is neither pushed nor sent on pull
 //!   (the pull gets an [`Msg::Error`]; both count in
-//!   `net/epochs_oversized`), and an out-of-protocol client frame is
+//!   `net/epochs_oversized`), a job outcome whose patch table is over
+//!   the cap is replaced by an [`Msg::Error`]
+//!   (`net/outcomes_oversized`), and an out-of-protocol client frame is
 //!   answered by its kind byte alone, never by its contents.
 //! * **A worker pool, so the poller never blocks.** Frame parsing and
 //!   cheap pulls (epoch/health/metrics) are answered on the poller
@@ -254,6 +256,9 @@ struct NetObs {
     /// Epoch pushes skipped and epoch pulls refused because the epoch
     /// text exceeds [`MAX_BLOB`] (`net/epochs_oversized`).
     epochs_oversized: Arc<Counter>,
+    /// Job outcomes refused because their patch-table text exceeds
+    /// [`MAX_BLOB`] (`net/outcomes_oversized`).
+    outcomes_oversized: Arc<Counter>,
     /// Live connections (`net/connections`).
     connections: Arc<Gauge>,
     /// Bytes sitting in per-connection write queues, summed
@@ -275,6 +280,7 @@ impl NetObs {
             frames_out: registry.counter("net/frames_out"),
             pushes_dropped: registry.counter("net/pushes_dropped"),
             epochs_oversized: registry.counter("net/epochs_oversized"),
+            outcomes_oversized: registry.counter("net/outcomes_oversized"),
             connections: registry.gauge("net/connections"),
             write_queue: registry.gauge("net/write_queue_bytes"),
             inflight: registry.gauge("net/inflight_jobs"),
@@ -475,7 +481,8 @@ impl NetFrontend {
     /// The wire layer's metrics registry (`net/wire_rtt`,
     /// `net/epoch_push`, `net/frames_in`, `net/frames_out`,
     /// `net/connections`, `net/write_queue_bytes`, `net/inflight_jobs`,
-    /// `net/pushes_dropped`, `net/epochs_oversized`). The *merged* cross-layer snapshot — this
+    /// `net/pushes_dropped`, `net/epochs_oversized`,
+    /// `net/outcomes_oversized`). The *merged* cross-layer snapshot — this
     /// plus the front-end's per-job histograms and the fleet's — is
     /// what [`Msg::MetricsPull`] returns over the wire; see
     /// [`NetFrontend::metrics_snapshot`] for the server-side subset.
@@ -572,6 +579,14 @@ fn serve<W: Workload + Sync>(
             config.frontend.clone(),
             config.patches.clone(),
         );
+        // A durable server may recover mid-history: load the recovered
+        // epoch before the poll loop reads a frame, so no job runs under
+        // an older table, and let the watcher broadcast only newer ones.
+        let recovered = backend.service().latest().number;
+        if recovered > 0 {
+            bridge::sync_frontend(backend.service(), &frontend);
+            synced_epoch.store(recovered, Ordering::Release);
+        }
         let (work_tx, work_rx) = mpsc::channel::<Work>();
         let work_rx = Mutex::new(work_rx);
         std::thread::scope(|inner| {
@@ -590,6 +605,7 @@ fn serve<W: Workload + Sync>(
             }
             inner.spawn(|| {
                 epoch_watcher(
+                    recovered,
                     backend.service(),
                     &frontend,
                     &mailbox,
@@ -664,14 +680,23 @@ fn worker_loop(
                     .encode()],
                     false,
                 );
-                let result = ticket.wait();
-                mailbox.post_frames(
-                    conn,
-                    vec![Msg::Outcome(WireOutcome::from_pool(&result))
-                        .to_frame()
-                        .encode()],
-                    true,
-                );
+                let outcome = WireOutcome::from_pool(&ticket.wait());
+                // The pools may run under a table too large for one frame
+                // (a recovered over-cap epoch): refuse that outcome, in
+                // its place, instead of encoding past the cap.
+                let reply = if outcome.patches.len() > MAX_BLOB as usize {
+                    obs.outcomes_oversized.incr();
+                    Msg::Error {
+                        message: format!(
+                            "job {seq}: outcome patch table is {} bytes, over the \
+                             {MAX_BLOB}-byte wire cap",
+                            outcome.patches.len()
+                        ),
+                    }
+                } else {
+                    Msg::Outcome(outcome)
+                };
+                mailbox.post_frames(conn, vec![reply.to_frame().encode()], true);
             }
             Work::Report { conn, bytes, at } => {
                 // The durable backend WAL-logs before folding.
@@ -714,10 +739,11 @@ fn worker_loop(
 }
 
 /// The epoch watcher: parks on the service's epoch signal and, per
-/// fresh epoch, syncs the server's own pools and broadcasts the push
-/// frame. The server wakes the park when its poll loop exits; the
-/// [`POLL_INTERVAL`] bound is only a backstop.
+/// epoch newer than `have`, syncs the server's own pools and broadcasts
+/// the push frame. The server wakes the park when its poll loop exits;
+/// the [`POLL_INTERVAL`] bound is only a backstop.
 fn epoch_watcher(
+    mut have: u64,
     service: &FleetService,
     frontend: &PoolFrontend<'_>,
     mailbox: &Mailbox,
@@ -725,15 +751,6 @@ fn epoch_watcher(
     synced_epoch: &AtomicU64,
     epochs_oversized: &Counter,
 ) {
-    // A durable server may recover mid-history: treat the recovered
-    // epoch as already-known (it is loaded into the pools at bind via
-    // the config's patch table only if the caller did so; sync here to
-    // be safe) and only broadcast genuinely new publications.
-    let mut have = service.latest().number;
-    if have > 0 {
-        bridge::sync_frontend(service, frontend);
-        synced_epoch.fetch_max(have, Ordering::AcqRel);
-    }
     while !stop.load(Ordering::Acquire) {
         let Some(epoch) = service.wait_epoch_newer(have, POLL_INTERVAL, stop) else {
             continue;

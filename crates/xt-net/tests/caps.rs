@@ -9,10 +9,14 @@
 //!    text of a 400 KiB blob once overran the cap and killed the poller.
 //! 2. An epoch whose text exceeds the cap is refused with an error frame
 //!    on pull, and the connection keeps serving.
+//! 3. A job run under such an epoch has an outcome whose patch table
+//!    exceeds the cap: it is refused with an error frame in the
+//!    outcome's place (encoding it once panicked a worker and left the
+//!    client waiting forever), and the connection keeps serving.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use xt_alloc::SiteHash;
@@ -21,7 +25,7 @@ use xt_fleet::{wal, DurabilityConfig, FleetConfig, FleetService, MemStorage, Sto
 use xt_net::proto::{kind, MAX_BLOB};
 use xt_net::{Msg, NetClient, NetConfig, NetDurability, NetError, NetFrontend, WireOutcome};
 use xt_patch::{PatchEpoch, PatchTable};
-use xt_workloads::EspressoLike;
+use xt_workloads::{EspressoLike, WorkloadInput};
 
 /// Sends one frame on a fresh connection and reads the reply, failing
 /// (instead of hanging) if the server does not answer within 10 s.
@@ -76,10 +80,10 @@ fn hostile_server_kind_frame_does_not_stop_the_poller() {
     server.shutdown();
 }
 
-#[test]
-fn over_cap_epoch_pull_is_refused_and_the_connection_serves_on() {
-    // A recovered fleet whose published epoch is larger than one frame
-    // may carry: ~90k pads at ~15 bytes of text each.
+/// A durable server recovered from a snapshot whose published epoch is
+/// larger than one frame may carry: ~90k pads at ~15 bytes of text each.
+/// Recovery loads the epoch into the server's own pools.
+fn over_cap_epoch_server() -> NetFrontend {
     let mut table = PatchTable::new();
     for site in 0..90_000u32 {
         table.add_pad(SiteHash::from_raw(site), 8);
@@ -108,6 +112,22 @@ fn over_cap_epoch_pull_is_refused_and_the_connection_serves_on() {
     let server =
         NetFrontend::bind(EspressoLike::new(), "127.0.0.1:0", config).expect("bind durable");
     assert_eq!(server.service().latest().number, 1);
+    server
+}
+
+/// The named counter in the server's wire metrics.
+fn counter(server: &NetFrontend, name: &str) -> Option<u64> {
+    server
+        .metrics_snapshot()
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|&(_, v)| v)
+}
+
+#[test]
+fn over_cap_epoch_pull_is_refused_and_the_connection_serves_on() {
+    let server = over_cap_epoch_server();
     let client = NetClient::connect(server.local_addr()).expect("connect");
     match client.pull_epoch(0) {
         Err(NetError::Remote(message)) => {
@@ -123,13 +143,47 @@ fn over_cap_epoch_pull_is_refused_and_the_connection_serves_on() {
     // The same connection still serves.
     let health = client.pull_health().expect("health after refusal");
     assert_eq!(health.epoch, 1);
-    let metrics = server.metrics_snapshot();
-    let oversized = metrics
-        .counters
-        .iter()
-        .find(|(name, _)| name == "net/epochs_oversized")
-        .map(|&(_, n)| n);
-    assert_eq!(oversized, Some(1));
+    assert_eq!(counter(&server, "net/epochs_oversized"), Some(1));
     drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn over_cap_outcome_is_refused_and_the_connection_serves_on() {
+    let server = over_cap_epoch_server();
+    let addr = server.local_addr();
+    // On its own thread, so a server that never answers fails the test
+    // at the timeout instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let client = NetClient::connect(addr).expect("connect");
+        let ticket = client
+            .submit(&WorkloadInput::with_seed(1), None)
+            .expect("submit accepted");
+        let verdict = ticket.wait_verdict().map(|v| v.is_some());
+        let outcome = ticket.wait();
+        let health = client.pull_health().map(|h| h.epoch);
+        tx.send((verdict, outcome, health, client.buffered()))
+            .expect("test thread is waiting");
+    });
+    let (verdict, outcome, health, buffered) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the outcome wait returned within the timeout");
+    submitter.join().expect("submitter thread");
+    // The output was still released by the voter before the refusal.
+    assert!(verdict.expect("verdict arrives"), "clean run has a quorum");
+    match outcome {
+        Err(NetError::Remote(message)) => {
+            assert!(
+                message.contains("wire cap"),
+                "unexpected refusal: {message}"
+            );
+        }
+        other => panic!("expected a remote refusal, got {other:?}"),
+    }
+    // The same connection still serves, and nothing stays parked.
+    assert_eq!(health.expect("health after refusal"), 1);
+    assert_eq!(buffered, 0);
+    assert_eq!(counter(&server, "net/outcomes_oversized"), Some(1));
     server.shutdown();
 }

@@ -234,7 +234,7 @@ impl<'a> Ctx<'a> {
 /// FNV-1a, the workloads' output-checksum function. Heap addresses must
 /// never be fed to it — outputs must be layout-independent.
 #[must_use]
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     let mut h = if state == 0 {
         0xcbf2_9ce4_8422_2325
     } else {

@@ -32,7 +32,7 @@ mod profile;
 mod squid;
 
 pub use cfrac::CfracLike;
-pub use ctx::{fnv1a, Abort, Ctx};
+pub use ctx::{Abort, Ctx};
 pub use espresso::EspressoLike;
 pub use mozilla::{attack_browsing_session, benign_browsing_session, MozillaLike};
 pub use profile::{AllocProfile, ProfileWorkload};

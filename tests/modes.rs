@@ -2,7 +2,8 @@
 //! (§3.4), spanning the full crate stack.
 
 use exterminator::cumulative::{CumulativeMode, CumulativeModeConfig};
-use exterminator::replicated::{run_replicated, ReplicatedConfig};
+use exterminator::pool::PoolConfig;
+use exterminator::replicated::run_replicated;
 use exterminator::runner::find_manifesting_fault;
 use exterminator::voter::vote;
 use xt_faults::FaultKind;
@@ -27,7 +28,7 @@ fn replicas_vote_unanimously_on_clean_workloads() {
             &WorkloadInput::with_seed(5),
             None,
             &PatchTable::new(),
-            &ReplicatedConfig::default(),
+            &PoolConfig::default(),
         );
         assert!(
             outcome.vote.unanimous(),
@@ -60,9 +61,9 @@ fn replicated_mode_observes_and_isolates_faults() {
         &input,
         Some(fault),
         &PatchTable::new(),
-        &ReplicatedConfig {
+        &PoolConfig {
             replicas: 6,
-            ..ReplicatedConfig::default()
+            ..PoolConfig::default()
         },
     );
     assert!(outcome.error_observed(), "six replicas all blind to fault");
